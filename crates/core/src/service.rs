@@ -577,6 +577,11 @@ struct CoordState {
     /// dead-shard skip may report for the same shard without
     /// double-counting.
     pending_done: Vec<bool>,
+    /// Per shard: its committer took the checkpoint turn, folded its
+    /// last drain, and now waits for the coordinator to put every batch
+    /// it applied into the durable commit log before it hardens (see
+    /// [`staggered_checkpoint`]). Cleared by the coordinator.
+    awaiting_log: Vec<bool>,
     /// Id of the round being (or last) run; strictly increasing.
     round: u64,
     /// Completed rounds — the service's durability epoch.
@@ -590,6 +595,7 @@ impl SyncCoordinator {
             state: Mutex::new(CoordState {
                 dirty: vec![false; shards],
                 pending_done: vec![false; shards],
+                awaiting_log: vec![false; shards],
                 round: 0,
                 epoch: 0,
                 shutdown: false,
@@ -608,6 +614,18 @@ impl SyncCoordinator {
         let mut st = self.state.lock();
         st.dirty[si] = true;
         self.cv.notify_all();
+    }
+
+    /// Checkpoint-turn handshake, committer side: shard `si`'s batch set
+    /// is final until its harden (its committer applies nothing in
+    /// between); block until the coordinator has logged it.
+    fn await_log(&self, si: usize) {
+        let mut st = self.state.lock();
+        st.awaiting_log[si] = true;
+        self.cv.notify_all();
+        while st.awaiting_log[si] {
+            st = self.cv.wait(st);
+        }
     }
 
     /// Round participant `si` finished its harden (or is wedged, or its
@@ -733,7 +751,7 @@ fn coordinator_loop<M: StoreMedia, L: CommitLog>(
             rotation_clean = true;
         }
         if let Some(si) = rotation.pop_front() {
-            rotation_clean &= staggered_checkpoint(&shards, &coord, si);
+            rotation_clean &= staggered_checkpoint(&shards, &coord, &mut log, si);
         }
         if rotation.is_empty() && rotation_clean && log.has_sealed() {
             // Every manifest now covers the sealed segment (each harden
@@ -841,15 +859,26 @@ fn commit_round<M: StoreMedia, L: CommitLog>(
 }
 
 /// One turn of a **checkpoint rotation**: shard `si` hardens its own
-/// store — bringing its manifest (and replay watermark) current, which
-/// also acknowledges anything it applied since the last log round —
-/// while every other shard keeps taking ordinary log rounds. Returns
-/// whether the turn completed cleanly (`false`: the shard is wedged or
-/// its committer is dead — the rotation is tainted and the sealed log
+/// store — bringing its manifest (and replay watermark) current — while
+/// every other shard keeps taking ordinary log rounds. Returns whether
+/// the turn completed cleanly (`false`: the shard is wedged or its
+/// committer is dead — the rotation is tainted and the sealed log
 /// segment must be kept, since its records may exist nowhere else).
-fn staggered_checkpoint<M: StoreMedia>(
+///
+/// **Log before harden.** A harden's data `fdatasync` makes the
+/// log-method's in-place block rewrites durable *before* its manifest
+/// commits, so a crash in between reopens the old manifest over blocks
+/// that already hold the newer batches. Replay then refolds the log
+/// records above the old watermark over them — correct only if every
+/// batch those blocks hold is in the log too (a refolded older put
+/// would otherwise resurrect a key a later, unlogged batch deleted, and
+/// split that batch). So the committer folds its last drain, then waits
+/// while the coordinator runs a log round for this shard alone, and
+/// only then hardens.
+fn staggered_checkpoint<M: StoreMedia, L: CommitLog>(
     shards: &[Arc<Shard<M>>],
     coord: &SyncCoordinator,
+    log: &mut L,
     si: usize,
 ) -> bool {
     {
@@ -883,6 +912,17 @@ fn staggered_checkpoint<M: StoreMedia>(
     }
     {
         let mut st = coord.state.lock();
+        while st.pending_done[si] && !st.awaiting_log[si] {
+            st = coord.cv.wait(st);
+        }
+    }
+    // A no-op when the shard has nothing unlogged, or is wedged (or its
+    // committer died and reported done instead).
+    commit_round(shards, coord, log, &[si]);
+    {
+        let mut st = coord.state.lock();
+        st.awaiting_log[si] = false;
+        coord.cv.notify_all();
         while st.pending_done[si] {
             st = coord.cv.wait(st);
         }
@@ -984,14 +1024,16 @@ fn committer_loop<M: StoreMedia>(shard: Arc<Shard<M>>, coord: Arc<SyncCoordinato
             }
             Todo::Harden(sync) => {
                 // This shard's turn in a checkpoint rotation: fold one
-                // last drain into this manifest harden (no dirty mark —
-                // the harden right here is its durability point), then
-                // bring the manifest current so the coordinator can
-                // discard the sealed log segment once every turn is
-                // done. Both no-op on a wedged shard — but done is
-                // always reported, so a poisoned shard can never hang
-                // the rotation.
+                // last drain (no dirty mark — the coordinator logs it
+                // next), wait for the coordinator to log every applied
+                // batch (log before harden, see staggered_checkpoint),
+                // then bring the manifest current so the coordinator
+                // can discard the sealed log segment once every turn is
+                // done. Each step no-ops on a wedged shard — but done
+                // is always reported, so a poisoned shard can never
+                // hang the rotation.
                 apply_pending(&shard);
+                coord.await_log(si);
                 harden_shard(&shard, false, Some(&sync));
                 coord.report_done(si);
             }
@@ -2159,9 +2201,13 @@ impl<M: StoreMedia> ShardedKvStore<M> {
     /// Looks up `key`'s byte payload — [`ShardedKvStore::get`]'s byte
     /// twin, with the same read-your-writes overlay semantics (a hit on
     /// an accepted-but-volatile write answers before it is durable; see
-    /// `docs/GUARANTEES.md`). Returns an owned copy: the zero-copy view
-    /// stops at the shard's store lock, which a borrowed return would
-    /// otherwise have to hold open. Payload-mode services only.
+    /// `docs/GUARANTEES.md`). Returns an owned copy of
+    /// [`KvStore::get_bytes`]'s view, taken under the shard's store lock
+    /// (a borrowed return would have to hold that lock open): a payload
+    /// not yet synced to the blob log is copied out of its in-memory
+    /// tail, a synced one out of the log's reused `pread` buffer. The
+    /// blob log's memory is bounded by the sync cadence, not by the log
+    /// size. Payload-mode services only.
     pub fn get_bytes(&self, key: Key) -> Result<Option<Vec<u8>>> {
         if !self.payloads {
             return Err(ExtMemError::BadConfig(

@@ -619,11 +619,14 @@ impl<M: StoreMedia> KvStore<M> {
         self.table.insert(key, BLOB_TAG | offset)
     }
 
-    /// Looks up `key`'s payload (payload mode only) as a **borrowed
-    /// zero-copy view** over the blob log's mapped region: one index
-    /// probe, one O(1) bounds check, no payload copy and no per-read
+    /// Looks up `key`'s payload (payload mode only) as a borrowed view:
+    /// one index probe, then one O(1) bounds check and no per-read
     /// checksum (integrity was established for the whole committed
-    /// prefix when the log was opened). `None` when absent or deleted.
+    /// prefix when the log was opened). A payload appended since the
+    /// last sync is a **zero-copy borrow** of the blob log's in-memory
+    /// unsynced tail; a synced payload costs **one `pread`** into the
+    /// log's reused read buffer. The log's memory is bounded by the
+    /// sync cadence, not by the log size. `None` when absent or deleted.
     pub fn get_bytes(&mut self, key: Key) -> Result<Option<&[u8]>> {
         self.check_poisoned()?;
         if self.blob.is_none() {
@@ -635,7 +638,7 @@ impl<M: StoreMedia> KvStore<M> {
             return Ok(None);
         };
         let offset = untag(word)?;
-        let log = self.blob.as_ref().expect("payload mode checked above");
+        let log = self.blob.as_mut().expect("payload mode checked above");
         Ok(Some(log.get(offset)?))
     }
 
@@ -885,7 +888,7 @@ impl<M: StoreMedia> KvStore<M> {
         // dead weight). The index walk remaps every tagged word to its
         // new offset, and the new log is fdatasync'd before the manifest
         // commit can reference it (`blob-sync-before-index-commit`).
-        if let Some(old_log) = self.blob.take() {
+        if let Some(mut old_log) = self.blob.take() {
             let new_blob_name = blob_file_name(new_gen);
             let blob_fail = |this: &mut Self, e: ExtMemError| {
                 this.poisoned = true;

@@ -215,6 +215,9 @@ pub fn rule(name: &str) -> &'static Rule {
 /// [`DIR_FSYNC_FNS`] (fsyncing an opened *directory* handle).
 pub const SINKS: &[(&str, EffectClass)] = &[
     (".write_all(", EffectClass::VolatileWrite),
+    // Positioned writes (`FileExt::write_all_at`): the block backend's
+    // and blob file's write path.
+    (".write_all_at(", EffectClass::VolatileWrite),
     ("fs::write(", EffectClass::VolatileWrite),
     ("writeln!(", EffectClass::VolatileWrite),
     (".set_len(", EffectClass::VolatileWrite),
@@ -522,6 +525,20 @@ mod tests {
         // And the implemented rules really are trace-enabled.
         for name in implemented {
             assert!(rule(name).trace, "{name} lost its trace flag");
+        }
+    }
+
+    /// Every write spelling the persistence code uses is a classified
+    /// volatile-write sink, positioned writes included, and no token is
+    /// listed twice.
+    #[test]
+    fn write_spellings_are_volatile_write_sinks() {
+        let class_of = |tok: &str| SINKS.iter().find(|(t, _)| *t == tok).map(|&(_, c)| c);
+        for tok in [".write_all(", ".write_all_at(", ".set_len(", ".blob_append("] {
+            assert_eq!(class_of(tok), Some(EffectClass::VolatileWrite), "{tok}");
+        }
+        for (i, (a, _)) in SINKS.iter().enumerate() {
+            assert!(SINKS[i + 1..].iter().all(|(b, _)| a != b), "duplicate sink {a}");
         }
     }
 

@@ -1,9 +1,10 @@
 //! The storage-backend abstraction behind [`crate::Disk`].
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 use crate::block::{Block, BlockId};
 use crate::error::Result;
+use crate::item::{Key, Value};
 
 /// Raw block storage: an unbounded array of fixed-capacity blocks.
 ///
@@ -15,6 +16,17 @@ pub trait StorageBackend {
 
     /// Reads block `id` into an owned [`Block`].
     fn read(&mut self, id: BlockId) -> Result<Block>;
+
+    /// Probes block `id` for `key` without handing out the block: the
+    /// value found (first match, as [`Block::find`]) and the block's
+    /// chain pointer (as [`Block::next`]). Read-only, and answers exactly
+    /// as [`StorageBackend::read`] followed by `find`/`next` — which is
+    /// the default. Backends override it to scan the stored bytes in
+    /// place instead of building a `Block`.
+    fn probe(&mut self, id: BlockId, key: Key) -> Result<(Option<Value>, Option<BlockId>)> {
+        let blk = self.read(id)?;
+        Ok((blk.find(key), blk.next()))
+    }
 
     /// Overwrites block `id`.
     fn write(&mut self, id: BlockId, block: &Block) -> Result<()>;
@@ -190,8 +202,11 @@ pub(crate) struct SlotAllocator {
     runs: FreeRuns,
     /// Freed ids quarantined from recycling until committed.
     pending_free: Vec<u64>,
-    /// All dead ids (`free` ∪ `pending_free`), for O(1) liveness checks.
-    free_set: HashSet<u64>,
+    /// All dead ids (`free` ∪ `pending_free`) as a bitmap over
+    /// `[0, slots)`, one bit per slot: the liveness check every accounted
+    /// read makes is a shift and a mask. Bits at or past `slots` are
+    /// always clear.
+    dead: Vec<u64>,
     /// When set, freed slots are quarantined instead of recycled.
     defer_recycling: bool,
     live: u64,
@@ -202,7 +217,7 @@ impl SlotAllocator {
     /// shape (restore the persisted free list afterwards) and, with
     /// `slots == 0`, the fresh-device shape.
     pub(crate) fn with_all_live(slots: u64) -> Self {
-        SlotAllocator { slots, live: slots, ..Default::default() }
+        SlotAllocator { slots, live: slots, dead: bitmap_for(slots), ..Default::default() }
     }
 
     /// High-water mark.
@@ -217,7 +232,7 @@ impl SlotAllocator {
 
     /// Whether `id` is out of range or on the dead list.
     pub(crate) fn is_dead(&self, id: u64) -> bool {
-        id >= self.slots || self.free_set.contains(&id)
+        id >= self.slots || bit(&self.dead, id)
     }
 
     /// Every dead slot (recyclable plus quarantined) in recycle order.
@@ -250,17 +265,18 @@ impl SlotAllocator {
 
     /// See [`PersistentBackend::restore_free_list`].
     pub(crate) fn restore_free_list(&mut self, free: Vec<u64>) -> Result<()> {
-        let mut set = HashSet::with_capacity(free.len());
+        let mut dead = bitmap_for(self.slots);
         for &id in &free {
-            if id >= self.slots || !set.insert(id) {
+            if id >= self.slots || bit(&dead, id) {
                 return Err(crate::error::ExtMemError::Corrupt(format!("bad free-list id {id}")));
             }
+            set_bit(&mut dead, id, true);
         }
         self.live = self.slots - free.len() as u64;
         self.runs.rebuild(&free);
         self.free = free;
         self.pending_free.clear();
-        self.free_set = set;
+        self.dead = dead;
         Ok(())
     }
 
@@ -276,7 +292,7 @@ impl SlotAllocator {
         let popped = self.free.pop();
         debug_assert_eq!(popped, Some(id), "commit must follow peek");
         self.runs.remove(id);
-        self.free_set.remove(&id);
+        set_bit(&mut self.dead, id, false);
         self.live += 1;
     }
 
@@ -293,7 +309,7 @@ impl SlotAllocator {
         self.free.retain(|&id| !(base..end).contains(&id));
         self.runs.remove_range(base, end);
         for id in base..end {
-            self.free_set.remove(&id);
+            set_bit(&mut self.dead, id, false);
         }
         self.live += n as u64;
     }
@@ -303,6 +319,7 @@ impl SlotAllocator {
     pub(crate) fn commit_grow(&mut self, n: u64) -> u64 {
         let base = self.slots;
         self.slots += n;
+        self.dead.resize(self.slots.div_ceil(64) as usize, 0);
         self.live += n;
         base
     }
@@ -315,14 +332,36 @@ impl SlotAllocator {
             self.free.push(id);
             self.runs.insert(id);
         }
-        self.free_set.insert(id);
+        set_bit(&mut self.dead, id, true);
         self.live -= 1;
+    }
+}
+
+/// An all-clear bitmap covering `slots` ids.
+fn bitmap_for(slots: u64) -> Vec<u64> {
+    vec![0; slots.div_ceil(64) as usize]
+}
+
+/// Bit `id` of `map` (which must cover it).
+#[inline]
+fn bit(map: &[u64], id: u64) -> bool {
+    (map[(id / 64) as usize] >> (id % 64)) & 1 == 1
+}
+
+/// Sets bit `id` of `map` to `on`.
+#[inline]
+fn set_bit(map: &mut [u64], id: u64, on: bool) {
+    let word = &mut map[(id / 64) as usize];
+    if on {
+        *word |= 1 << (id % 64);
+    } else {
+        *word &= !(1 << (id % 64));
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::FreeRuns;
+    use super::{FreeRuns, SlotAllocator};
 
     /// The policy predecessor: sort the flat list, return the lowest
     /// maximal run of ≥ n. `FreeRuns` must agree with it exactly.
@@ -384,7 +423,7 @@ mod tests {
 
         use proptest::prelude::*;
 
-        use super::super::FreeRuns;
+        use super::super::{FreeRuns, SlotAllocator};
         use super::model_first_run_of;
 
         proptest! {
@@ -445,7 +484,100 @@ mod tests {
                     }
                 }
             }
+
+            /// The same model one level up: the whole `SlotAllocator`
+            /// driven through grow, release, defer on/off, commit,
+            /// single-slot recycle and run recycle, against a model of
+            /// committed-free and quarantined ids. After every op the
+            /// liveness bitmap answers `is_dead` for every id (out of
+            /// range included) exactly like the model, the run search
+            /// only ever sees committed frees, and the live/free counts
+            /// add up.
+            #[test]
+            fn slot_allocator_liveness_matches_a_btreeset_model(
+                ops in proptest::collection::vec((0u8..8, 0u64..1024, 1u64..6), 1..250),
+            ) {
+                let mut alloc = SlotAllocator::default();
+                let mut slots = 0u64;
+                let mut free: BTreeSet<u64> = BTreeSet::new();
+                let mut pending: BTreeSet<u64> = BTreeSet::new();
+                let mut defer = false;
+                for (sel, raw, n) in ops {
+                    match sel {
+                        // Grow the device by n fresh live slots.
+                        0 => {
+                            prop_assert_eq!(alloc.commit_grow(n), slots);
+                            slots += n;
+                        }
+                        // Release a live slot (dead picks are skipped, as
+                        // the backends' liveness checks do).
+                        1 | 2 if slots > 0 => {
+                            let id = raw % slots;
+                            if !alloc.is_dead(id) {
+                                alloc.release(id);
+                                if defer { pending.insert(id) } else { free.insert(id) };
+                            }
+                        }
+                        // Toggle deferral; turning it off commits.
+                        3 => {
+                            defer = !defer;
+                            alloc.set_defer_recycling(defer);
+                            if !defer {
+                                free.append(&mut pending);
+                            }
+                        }
+                        4 => {
+                            alloc.commit_frees();
+                            free.append(&mut pending);
+                        }
+                        // Single-slot recycle: only a committed free id.
+                        5 => {
+                            if let Some(id) = alloc.peek_recycle() {
+                                prop_assert!(free.remove(&id), "recycled {} is not committed-free", id);
+                                alloc.commit_recycle(id);
+                            } else {
+                                prop_assert!(free.is_empty());
+                            }
+                        }
+                        // Run recycle: the lowest committed run of >= n.
+                        6 => {
+                            let got = alloc.peek_run(n as usize);
+                            prop_assert_eq!(got, model_first_run_of(&free, n as usize));
+                            if let Some(base) = got {
+                                alloc.commit_run(base, n as usize);
+                                for id in base..base + n {
+                                    free.remove(&id);
+                                }
+                            }
+                        }
+                        _ => {}
+                    }
+                    for id in 0..slots + 70 {
+                        let dead = id >= slots || free.contains(&id) || pending.contains(&id);
+                        prop_assert_eq!(alloc.is_dead(id), dead, "is_dead({}) diverged", id);
+                    }
+                    let dead = (free.len() + pending.len()) as u64;
+                    prop_assert_eq!(alloc.free_count() as u64, dead);
+                    prop_assert_eq!(alloc.live(), slots - dead);
+                    prop_assert_eq!(alloc.slots(), slots);
+                }
+            }
         }
+    }
+
+    #[test]
+    fn restore_free_list_rejects_out_of_range_and_duplicate_ids() {
+        let mut alloc = SlotAllocator::with_all_live(130);
+        assert!(alloc.restore_free_list(vec![3, 130]).is_err(), "out of range");
+        assert!(alloc.restore_free_list(vec![64, 7, 64]).is_err(), "duplicate");
+        // A rejected restore changes nothing.
+        assert_eq!(alloc.live(), 130);
+        assert!(!alloc.is_dead(3) && !alloc.is_dead(64));
+        alloc.restore_free_list(vec![129, 0, 64]).unwrap();
+        assert!(alloc.is_dead(0) && alloc.is_dead(64) && alloc.is_dead(129));
+        assert!(!alloc.is_dead(1) && !alloc.is_dead(128));
+        assert!(alloc.is_dead(130), "past the high-water mark");
+        assert_eq!(alloc.live(), 127);
     }
 
     #[test]

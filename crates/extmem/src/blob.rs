@@ -12,14 +12,18 @@
 //!   never be mistaken for data;
 //! * [`BlobLog::append`] returns `(offset, len)`; the caller stores
 //!   `BLOB_TAG | offset` as the index word (see [`crate::BLOB_TAG`]);
-//! * [`BlobLog::get`] is **zero-copy**: a borrowed `&[u8]` view over the
-//!   log's in-memory region, one O(1) bounds check, no per-read
-//!   checksum or copy (integrity is established once, at open, when the
-//!   committed prefix is verified frame by frame). On platforms with
-//!   `mmap` the region could be a file mapping; this workspace forbids
-//!   `unsafe`, so the region is a cached read of the committed prefix
-//!   plus the appends made through this handle — the same zero-copy
-//!   read path, populated by `read(2)` instead of a page fault;
+//! * [`BlobLog::get`] has two paths, both without a per-read checksum
+//!   (integrity is established once, at open, when the committed prefix
+//!   is verified frame by frame; appends made through this handle are
+//!   the process's own bytes). A frame appended since the last
+//!   [`BlobLog::sync`] is a **zero-copy borrow** of the in-memory
+//!   unsynced tail — a hot key's newest frame costs no syscall. A synced
+//!   frame costs **one `pread`** of header plus payload into a reused
+//!   buffer (a second only when the payload is longer than the first
+//!   read, which is sized from the mean frame length seen so far);
+//! * memory is bounded by the sync cadence, not by the log size: the
+//!   handle holds the unsynced tail (released at every sync) and one
+//!   read buffer, never the synced log;
 //! * durability is the caller's ordering obligation: appends are
 //!   volatile until [`BlobLog::sync`], and the `dxh-dura` rule
 //!   `blob-sync-before-index-commit` demands the sync precede any index
@@ -30,15 +34,20 @@
 //! torture sweep covers torn appends with the same code path.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 
+use crate::block::le_word;
 use crate::error::{ExtMemError, Result};
 use crate::item::MAX_BLOB_OFFSET;
-use crate::sim_disk::fnv1a64;
+use crate::sim_disk::{fnv1a64, fnv1a64_fold, FNV1A64_BASIS};
 
 /// Bytes of framing before each payload: `len: u32 LE | fnv1a64: u64 LE`.
 pub const BLOB_FRAME_HEADER: usize = 12;
+
+/// Largest single read of [`BlobLog::open`]'s verification pass: the
+/// file streams through one buffer of at most this many bytes.
+const SCAN_CHUNK: usize = 1 << 20;
 
 /// The byte-level storage a [`BlobLog`] runs on: an append-only file
 /// with explicit sync. Implementations: [`FileBlob`] (a real file) and
@@ -56,14 +65,15 @@ pub trait BlobFile {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-    /// Reads the whole file (the open-time region load).
-    fn read_all(&mut self) -> Result<Vec<u8>>;
+    /// Reads exactly `buf.len()` bytes at `offset` — a process reads its
+    /// own unsynced appends. A range past the end is an error.
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()>;
     /// Truncates to `len` bytes — recovery's crash-tail discard.
     fn truncate(&mut self, len: u64) -> Result<()>;
 }
 
-/// A [`BlobFile`] over a real file: buffered appends, `sync_data`
-/// durability — the blob twin of `FileDisk`.
+/// A [`BlobFile`] over a real file: positioned appends and reads, one
+/// syscall each, `sync_data` durability — the blob twin of `FileDisk`.
 pub struct FileBlob {
     file: File,
     len: u64,
@@ -79,16 +89,15 @@ impl FileBlob {
 
     /// Opens the existing blob file at `path` without truncating.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
-        let mut file = OpenOptions::new().read(true).write(true).open(path)?;
-        let len = file.seek(SeekFrom::End(0))?;
+        let file = OpenOptions::new().read(true).write(true).open(path)?;
+        let len = file.metadata()?.len();
         Ok(FileBlob { file, len })
     }
 }
 
 impl BlobFile for FileBlob {
     fn append(&mut self, bytes: &[u8]) -> Result<()> {
-        self.file.seek(SeekFrom::Start(self.len))?;
-        self.file.write_all(bytes)?;
+        self.file.write_all_at(bytes, self.len)?;
         self.len += bytes.len() as u64;
         Ok(())
     }
@@ -102,11 +111,9 @@ impl BlobFile for FileBlob {
         self.len
     }
 
-    fn read_all(&mut self) -> Result<Vec<u8>> {
-        self.file.seek(SeekFrom::Start(0))?;
-        let mut buf = Vec::with_capacity(self.len as usize);
-        self.file.read_to_end(&mut buf)?;
-        Ok(buf)
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+        self.file.read_exact_at(buf, offset)?;
+        Ok(())
     }
 
     fn truncate(&mut self, len: u64) -> Result<()> {
@@ -116,17 +123,46 @@ impl BlobFile for FileBlob {
     }
 }
 
+/// Count and total bytes of the frames a [`BlobLog`] has seen (verified
+/// at open or appended): their mean sizes the first read of a synced
+/// frame.
+#[derive(Debug, Default, Clone, Copy)]
+struct FrameSizes {
+    frames: u64,
+    bytes: u64,
+}
+
+impl FrameSizes {
+    fn record(&mut self, frame_len: u64) {
+        self.frames += 1;
+        self.bytes += frame_len;
+    }
+
+    /// Bytes to fetch first for a synced frame: the mean frame length
+    /// seen, and at least a header.
+    fn first_read(&self) -> u64 {
+        match self.frames {
+            0 => BLOB_FRAME_HEADER as u64,
+            n => self.bytes.div_ceil(n).max(BLOB_FRAME_HEADER as u64),
+        }
+    }
+}
+
 /// The append-only, length-framed, checksummed payload log (module
 /// docs above). Generic over its [`BlobFile`] so the real store and the
 /// crash simulator share the exact recovery path.
 pub struct BlobLog<F: BlobFile> {
     file: F,
-    /// The in-memory region every [`BlobLog::get`] borrows from: the
-    /// verified committed prefix loaded at open, plus every append made
-    /// through this handle (a process reads its own writes).
-    region: Vec<u8>,
-    /// Bytes appended since the last [`BlobLog::sync`].
-    unsynced: u64,
+    /// Log offset of `tail[0]`: the length as of the last
+    /// [`BlobLog::sync`] (or of open). Frames below it are read from the
+    /// file.
+    tail_base: u64,
+    /// Every byte appended since the last [`BlobLog::sync`] — the only
+    /// log bytes held in memory; [`BlobLog::get`] borrows from it.
+    tail: Vec<u8>,
+    /// The reused read buffer for frames below `tail_base`.
+    buf: Vec<u8>,
+    sizes: FrameSizes,
 }
 
 impl<F: BlobFile> BlobLog<F> {
@@ -137,7 +173,13 @@ impl<F: BlobFile> BlobLog<F> {
                 "BlobLog::create expects an empty file (use open to recover)".into(),
             ));
         }
-        Ok(BlobLog { file, region: Vec::new(), unsynced: 0 })
+        Ok(BlobLog {
+            file,
+            tail_base: 0,
+            tail: Vec::new(),
+            buf: Vec::new(),
+            sizes: FrameSizes::default(),
+        })
     }
 
     /// Opens an existing log, recovering around `committed_len` — the
@@ -150,28 +192,27 @@ impl<F: BlobFile> BlobLog<F> {
     /// (a durable append whose index commit hadn't landed yet — the
     /// index's own blocks can survive a crash ahead of the manifest
     /// and legitimately reference them), and the log is truncated at
-    /// the first torn or corrupt frame.
+    /// the first torn or corrupt frame. The file streams through
+    /// [`BlobFile::read_at`] in bounded chunks, so opening holds no
+    /// buffer proportional to the log.
     pub fn open(mut file: F, committed_len: u64) -> Result<Self> {
-        if file.len() < committed_len {
+        let file_len = file.len();
+        if file_len < committed_len {
             return Err(ExtMemError::Corrupt(format!(
-                "blob log holds {} bytes, index commit covers {committed_len}",
-                file.len()
+                "blob log holds {file_len} bytes, index commit covers {committed_len}"
             )));
         }
-        let mut region = file.read_all()?;
-        if (region.len() as u64) < committed_len {
-            return Err(ExtMemError::Corrupt(format!(
-                "blob log read {} bytes, index commit covers {committed_len}",
-                region.len()
-            )));
+        let mut sizes = FrameSizes::default();
+        let (end, stop) = walk_frames(&file, 0, committed_len, &mut sizes)?;
+        if let Some(why) = stop {
+            debug_assert!(end < committed_len);
+            return Err(ExtMemError::Corrupt(why));
         }
-        verify_frames(&region[..committed_len as usize])?;
-        let keep = committed_len as usize + valid_prefix(&region[committed_len as usize..]);
-        if keep < region.len() {
-            file.truncate(keep as u64)?;
-            region.truncate(keep);
+        let (keep, _) = walk_frames(&file, committed_len, file_len, &mut sizes)?;
+        if keep < file_len {
+            file.truncate(keep)?;
         }
-        Ok(BlobLog { file, region, unsynced: 0 })
+        Ok(BlobLog { file, tail_base: keep, tail: Vec::new(), buf: Vec::new(), sizes })
     }
 
     /// Appends `payload` as one framed record; returns `(offset, len)` —
@@ -184,41 +225,40 @@ impl<F: BlobFile> BlobLog<F> {
             .ok_or_else(|| {
                 ExtMemError::BadConfig("payload exceeds the 4 GiB frame bound".into())
             })?;
-        let offset = self.region.len() as u64;
+        let offset = self.len();
         if offset + frame_len as u64 > MAX_BLOB_OFFSET {
             // Offsets must stay below the index word's tag bit headroom.
             return Err(ExtMemError::BadConfig("blob log exceeds the offset bound".into()));
         }
-        let mut frame = Vec::with_capacity(frame_len);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        self.file.append(&frame)?;
-        self.region.extend_from_slice(&frame);
-        self.unsynced += frame_len as u64;
+        let at = self.tail.len();
+        self.tail.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        self.tail.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+        self.tail.extend_from_slice(payload);
+        if let Err(e) = self.file.append(&self.tail[at..]) {
+            self.tail.truncate(at);
+            return Err(e);
+        }
+        self.sizes.record(frame_len as u64);
         Ok((offset, frame_len as u32))
     }
 
-    /// The zero-copy read path: a borrowed view of the payload at
-    /// `offset`, straight out of the mapped region — one bounds check,
-    /// no copy, no per-read checksum (the committed prefix was verified
-    /// at open; appends made through this handle are the process's own
-    /// bytes). Errors on an offset that does not frame a record.
-    pub fn get(&self, offset: u64) -> Result<&[u8]> {
-        let (start, len) = self.frame_bounds(offset)?;
-        Ok(&self.region[start..start + len])
+    /// The read path: the payload at `offset`, with no per-read checksum
+    /// (the committed prefix was verified at open; appends made through
+    /// this handle are the process's own bytes). An unsynced frame is a
+    /// zero-copy borrow of the in-memory tail; a synced one is read from
+    /// the file into a reused buffer (see the module docs). Errors on an
+    /// offset that does not frame a record.
+    pub fn get(&mut self, offset: u64) -> Result<&[u8]> {
+        Ok(&self.frame(offset)?[BLOB_FRAME_HEADER..])
     }
 
     /// The copying read path: re-verifies the record's checksum and
     /// returns an owned copy — what a caller crossing a thread or
     /// trust boundary uses, and the `exp_blob` bench's comparison arm.
-    pub fn get_verified(&self, offset: u64) -> Result<Vec<u8>> {
-        let (start, len) = self.frame_bounds(offset)?;
-        let header = offset as usize;
-        let mut sum = [0u8; 8];
-        sum.copy_from_slice(&self.region[header + 4..header + 12]);
-        let payload = &self.region[start..start + len];
-        if fnv1a64(payload) != u64::from_le_bytes(sum) {
+    pub fn get_verified(&mut self, offset: u64) -> Result<Vec<u8>> {
+        let frame = self.frame(offset)?;
+        let (header, payload) = frame.split_at(BLOB_FRAME_HEADER);
+        if fnv1a64(payload) != le_word(header, 4) {
             return Err(ExtMemError::Corrupt(format!(
                 "blob record at offset {offset} fails its checksum"
             )));
@@ -226,104 +266,172 @@ impl<F: BlobFile> BlobLog<F> {
         Ok(payload.to_vec())
     }
 
-    /// Bounds-checks the frame at `offset`; returns the payload's
-    /// `(start, len)` within the region.
-    fn frame_bounds(&self, offset: u64) -> Result<(usize, usize)> {
-        let at = usize::try_from(offset)
-            .ok()
-            .filter(|&at| at + BLOB_FRAME_HEADER <= self.region.len())
-            .ok_or_else(|| ExtMemError::Corrupt(format!("blob offset {offset} outside the log")))?;
-        let mut len4 = [0u8; 4];
-        len4.copy_from_slice(&self.region[at..at + 4]);
-        let len = u32::from_le_bytes(len4) as usize;
-        let start = at + BLOB_FRAME_HEADER;
-        if start + len > self.region.len() {
-            return Err(ExtMemError::Corrupt(format!(
-                "blob record at offset {offset} overruns the log"
-            )));
+    /// The whole frame (header plus payload) at `offset`, bounds-checked
+    /// against the log: borrowed from the unsynced tail, or read from the
+    /// file into the reused buffer.
+    fn frame(&mut self, offset: u64) -> Result<&[u8]> {
+        let outside = || ExtMemError::Corrupt(format!("blob offset {offset} outside the log"));
+        let overruns =
+            || ExtMemError::Corrupt(format!("blob record at offset {offset} overruns the log"));
+        // Log bytes from `offset` to the end, at least a header's worth.
+        let avail = self
+            .len()
+            .checked_sub(offset)
+            .filter(|&n| n >= BLOB_FRAME_HEADER as u64)
+            .ok_or_else(outside)?;
+        if offset >= self.tail_base {
+            let at = (offset - self.tail_base) as usize;
+            let need = frame_len(&self.tail[at..]);
+            if need as u64 > avail {
+                return Err(overruns());
+            }
+            return Ok(&self.tail[at..at + need]);
         }
-        Ok((start, len))
+        let first = self.sizes.first_read().min(avail) as usize;
+        if self.buf.len() < first {
+            self.buf.resize(first, 0);
+        }
+        self.file.read_at(offset, &mut self.buf[..first])?;
+        let need = frame_len(&self.buf);
+        if need as u64 > avail {
+            return Err(overruns());
+        }
+        if need > first {
+            if self.buf.len() < need {
+                self.buf.resize(need, 0);
+            }
+            self.file.read_at(offset + first as u64, &mut self.buf[first..need])?;
+        }
+        Ok(&self.buf[..need])
     }
 
-    /// `fdatasync`: every append so far becomes durable. The caller's
-    /// index commit may reference the new offsets only after this
-    /// returns (`blob-sync-before-index-commit`).
+    /// `fdatasync`: every append so far becomes durable, and the
+    /// in-memory tail is released (later reads of its frames go to the
+    /// file). The caller's index commit may reference the new offsets
+    /// only after this returns (`blob-sync-before-index-commit`).
     pub fn sync(&mut self) -> Result<()> {
         self.file.sync()?;
-        self.unsynced = 0;
+        self.tail_base += self.tail.len() as u64;
+        self.tail = Vec::new();
         Ok(())
     }
 
     /// Total log length in bytes (what an index commit after a
     /// [`BlobLog::sync`] records as the committed length).
     pub fn len(&self) -> u64 {
-        self.region.len() as u64
+        self.tail_base + self.tail.len() as u64
     }
 
     /// Whether the log holds no records.
     pub fn is_empty(&self) -> bool {
-        self.region.is_empty()
+        self.len() == 0
     }
 
     /// Bytes appended since the last [`BlobLog::sync`].
     pub fn unsynced_bytes(&self) -> u64 {
-        self.unsynced
+        self.tail.len() as u64
     }
 }
 
-/// Walks `region` frame by frame, checking length framing and every
-/// record's checksum — the open-time integrity pass that lets
-/// [`BlobLog::get`] skip per-read verification.
-fn verify_frames(region: &[u8]) -> Result<()> {
-    let mut at = 0usize;
-    while at < region.len() {
-        if at + BLOB_FRAME_HEADER > region.len() {
-            return Err(ExtMemError::Corrupt(format!(
-                "blob log truncated mid-header at offset {at}"
-            )));
-        }
-        let mut len4 = [0u8; 4];
-        len4.copy_from_slice(&region[at..at + 4]);
-        let len = u32::from_le_bytes(len4) as usize;
-        let mut sum8 = [0u8; 8];
-        sum8.copy_from_slice(&region[at + 4..at + 12]);
-        let start = at + BLOB_FRAME_HEADER;
-        let end = start.checked_add(len).filter(|&e| e <= region.len()).ok_or_else(|| {
-            ExtMemError::Corrupt(format!("blob log truncated mid-record at offset {at}"))
-        })?;
-        if fnv1a64(&region[start..end]) != u64::from_le_bytes(sum8) {
-            return Err(ExtMemError::Corrupt(format!(
-                "blob record at offset {at} fails its checksum"
-            )));
-        }
-        at = end;
-    }
-    Ok(())
+/// Header plus payload length of the frame whose header starts `b`
+/// (which must hold at least the 4-byte length field).
+fn frame_len(b: &[u8]) -> usize {
+    let mut len4 = [0u8; 4];
+    len4.copy_from_slice(&b[..4]);
+    BLOB_FRAME_HEADER + u32::from_le_bytes(len4) as usize
 }
 
-/// Byte length of the longest prefix of `tail` made of whole,
-/// checksum-valid frames — recovery's keep boundary for the bytes past
-/// the committed length (commits land on frame boundaries, so `tail`
-/// always starts at one).
-fn valid_prefix(tail: &[u8]) -> usize {
-    let mut at = 0usize;
+/// Sequential reads of `[pos, end)` of a blob file through one reused
+/// buffer of at most [`SCAN_CHUNK`] bytes — open's bounded-memory pass.
+struct Scan<'a, F> {
+    file: &'a F,
+    /// File offset of the next byte to fetch into `buf`.
+    next: u64,
+    end: u64,
+    buf: Vec<u8>,
+    /// The unconsumed fetched bytes are `buf[lo..hi]`.
+    lo: usize,
+    hi: usize,
+}
+
+impl<'a, F: BlobFile> Scan<'a, F> {
+    fn new(file: &'a F, from: u64, end: u64) -> Self {
+        let chunk = (SCAN_CHUNK as u64).min(end - from) as usize;
+        Scan { file, next: from, end, buf: vec![0; chunk], lo: 0, hi: 0 }
+    }
+
+    /// File offset of the next unconsumed byte.
+    fn pos(&self) -> u64 {
+        self.next - (self.hi - self.lo) as u64
+    }
+
+    fn remaining(&self) -> u64 {
+        self.end - self.pos()
+    }
+
+    /// Consumes up to `max` bytes — at least one while any remain —
+    /// fetching the next chunk when the buffer is drained.
+    fn take(&mut self, max: usize) -> Result<&[u8]> {
+        if self.lo == self.hi {
+            let n = (self.buf.len() as u64).min(self.end - self.next) as usize;
+            self.file.read_at(self.next, &mut self.buf[..n])?;
+            self.next += n as u64;
+            (self.lo, self.hi) = (0, n);
+        }
+        let n = max.min(self.hi - self.lo);
+        self.lo += n;
+        Ok(&self.buf[self.lo - n..self.lo])
+    }
+
+    /// Fills `out` (which must not exceed [`Scan::remaining`]).
+    fn take_exact(&mut self, out: &mut [u8]) -> Result<()> {
+        let mut got = 0;
+        while got < out.len() {
+            let s = self.take(out.len() - got)?;
+            out[got..got + s.len()].copy_from_slice(s);
+            got += s.len();
+        }
+        Ok(())
+    }
+}
+
+/// Walks the frames of `[from, end)` of `file`, checking length framing
+/// and every record's checksum — the open-time integrity pass that lets
+/// [`BlobLog::get`] skip per-read verification — and recording each
+/// valid frame in `sizes`. Returns the end of the last whole valid frame
+/// and, when the walk stopped short of `end`, why.
+fn walk_frames<F: BlobFile>(
+    file: &F,
+    from: u64,
+    end: u64,
+    sizes: &mut FrameSizes,
+) -> Result<(u64, Option<String>)> {
+    let mut scan = Scan::new(file, from, end);
     loop {
-        if at + BLOB_FRAME_HEADER > tail.len() {
-            return at;
+        let at = scan.pos();
+        if scan.remaining() == 0 {
+            return Ok((at, None));
         }
-        let mut len4 = [0u8; 4];
-        len4.copy_from_slice(&tail[at..at + 4]);
-        let len = u32::from_le_bytes(len4) as usize;
-        let start = at + BLOB_FRAME_HEADER;
-        let Some(end) = start.checked_add(len).filter(|&e| e <= tail.len()) else {
-            return at;
-        };
-        let mut sum8 = [0u8; 8];
-        sum8.copy_from_slice(&tail[at + 4..at + 12]);
-        if fnv1a64(&tail[start..end]) != u64::from_le_bytes(sum8) {
-            return at;
+        if scan.remaining() < BLOB_FRAME_HEADER as u64 {
+            return Ok((at, Some(format!("blob log truncated mid-header at offset {at}"))));
         }
-        at = end;
+        let mut header = [0u8; BLOB_FRAME_HEADER];
+        scan.take_exact(&mut header)?;
+        let len = (frame_len(&header) - BLOB_FRAME_HEADER) as u64;
+        if scan.remaining() < len {
+            return Ok((at, Some(format!("blob log truncated mid-record at offset {at}"))));
+        }
+        let mut sum = FNV1A64_BASIS;
+        let mut left = len as usize;
+        while left > 0 {
+            let s = scan.take(left)?;
+            sum = fnv1a64_fold(sum, s);
+            left -= s.len();
+        }
+        if sum != le_word(&header, 4) {
+            return Ok((at, Some(format!("blob record at offset {at} fails its checksum"))));
+        }
+        sizes.record(BLOB_FRAME_HEADER as u64 + len);
     }
 }
 
@@ -336,10 +444,17 @@ mod tests {
     }
 
     /// An in-memory BlobFile for unit tests (the crash-faithful twin is
-    /// SimBlob in sim_disk).
+    /// SimBlob in sim_disk); counts its `read_at` calls.
     #[derive(Default)]
     struct MemBlob {
         bytes: Vec<u8>,
+        reads: std::cell::Cell<u64>,
+    }
+
+    impl MemBlob {
+        fn of(bytes: Vec<u8>) -> Self {
+            MemBlob { bytes, ..Default::default() }
+        }
     }
 
     impl BlobFile for MemBlob {
@@ -353,8 +468,14 @@ mod tests {
         fn len(&self) -> u64 {
             self.bytes.len() as u64
         }
-        fn read_all(&mut self) -> Result<Vec<u8>> {
-            Ok(self.bytes.clone())
+        fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+            self.reads.set(self.reads.get() + 1);
+            let at = offset as usize;
+            let src = self.bytes.get(at..at + buf.len()).ok_or_else(|| {
+                ExtMemError::Io(std::io::Error::from(std::io::ErrorKind::UnexpectedEof))
+            })?;
+            buf.copy_from_slice(src);
+            Ok(())
         }
         fn truncate(&mut self, len: u64) -> Result<()> {
             self.bytes.truncate(len as usize);
@@ -393,12 +514,12 @@ mod tests {
             let mut log = BlobLog::create(MemBlob::default()).unwrap();
             let _ = log.append(b"alpha").unwrap();
             let _ = log.append(b"beta").unwrap();
-            file.bytes = log.region.clone();
+            file.bytes = log.file.bytes.clone();
         }
         let committed = file.len();
         // A torn half-append past the committed length.
         file.append(&[9, 0, 0, 0, 1, 2]).unwrap();
-        let log = BlobLog::open(file, committed).unwrap();
+        let mut log = BlobLog::open(file, committed).unwrap();
         assert_eq!(log.len(), committed, "torn tail discarded");
         assert_eq!(log.get(0).unwrap(), b"alpha");
     }
@@ -414,10 +535,10 @@ mod tests {
             let _ = log.append(b"committed").unwrap();
             let committed = log.len();
             let (tail_off, _) = log.append(b"durable but uncommitted").unwrap();
-            (MemBlob { bytes: log.region.clone() }, committed, tail_off)
+            (MemBlob::of(log.file.bytes.clone()), committed, tail_off)
         };
         file.append(&[44, 0, 0, 0, 7]).unwrap(); // torn half-append after it
-        let log = BlobLog::open(file, committed).unwrap();
+        let mut log = BlobLog::open(file, committed).unwrap();
         assert_eq!(log.get(tail_off).unwrap(), b"durable but uncommitted");
         assert_eq!(
             log.len(),
@@ -430,10 +551,10 @@ mod tests {
     fn open_rejects_corruption_inside_the_committed_prefix() {
         let mut good = BlobLog::create(MemBlob::default()).unwrap();
         let _ = good.append(b"payload").unwrap();
-        let mut bytes = good.region.clone();
+        let mut bytes = good.file.bytes.clone();
         let committed = bytes.len() as u64;
         *bytes.last_mut().unwrap() ^= 0xFF; // flip a payload byte
-        let r = BlobLog::open(MemBlob { bytes }, committed);
+        let r = BlobLog::open(MemBlob::of(bytes), committed);
         assert!(matches!(r, Err(ExtMemError::Corrupt(_))), "checksum rejects the record");
         // And a log shorter than the commitment is corruption, not recovery.
         let r = BlobLog::open(MemBlob::default(), committed);
@@ -463,7 +584,7 @@ mod tests {
             log.sync().unwrap();
             committed = log.len();
         }
-        let log = BlobLog::open(FileBlob::open(&path).unwrap(), committed).unwrap();
+        let mut log = BlobLog::open(FileBlob::open(&path).unwrap(), committed).unwrap();
         assert_eq!(log.get(0).unwrap(), b"durable bytes");
         let _ = std::fs::remove_file(&path);
     }
@@ -481,9 +602,113 @@ mod tests {
             // A torn append: header promising more bytes than exist.
             log.file.append(&[99, 0, 0, 0, 1, 2, 3]).unwrap();
         }
-        let log = BlobLog::open(FileBlob::open(&path).unwrap(), committed).unwrap();
+        let mut log = BlobLog::open(FileBlob::open(&path).unwrap(), committed).unwrap();
         assert_eq!(log.len(), committed);
         assert!(log.get(committed).is_err(), "the discarded tail is unreachable");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn unsynced_frames_are_borrowed_and_synced_frames_cost_one_read() {
+        let mut log = BlobLog::create(MemBlob::default()).unwrap();
+        let (o, _) = log.append(b"hot key, newest frame").unwrap();
+        let p1 = log.get(o).unwrap().as_ptr();
+        let p2 = log.get(o).unwrap().as_ptr();
+        assert_eq!(p1, p2, "an unsynced frame is a borrow of the tail");
+        assert_eq!(log.file.reads.get(), 0, "the tail costs no read");
+        log.sync().unwrap();
+        assert_eq!(log.get(o).unwrap(), b"hot key, newest frame", "same bytes across the sync");
+        assert_eq!(log.file.reads.get(), 1, "a synced frame costs one read");
+        let (o2, _) = log.append(b"second, synced frame!").unwrap();
+        log.sync().unwrap();
+        let q1 = log.get(o).unwrap().as_ptr();
+        let q2 = log.get(o2).unwrap().as_ptr();
+        assert_eq!(q1, q2, "synced reads reuse one buffer");
+        assert_eq!(log.file.reads.get(), 3);
+        assert_eq!(log.get_verified(o2).unwrap(), b"second, synced frame!".to_vec());
+    }
+
+    #[test]
+    fn payload_longer_than_the_first_read_round_trips() {
+        let mut log = BlobLog::create(MemBlob::default()).unwrap();
+        let small: Vec<u64> = (0..16u8).map(|i| log.append(&[i; 4]).unwrap().0).collect();
+        let big: Vec<u8> = (0..5000u32).map(|i| (i % 251) as u8).collect();
+        let (ob, _) = log.append(&big).unwrap();
+        log.sync().unwrap();
+        assert!(log.sizes.first_read() < (BLOB_FRAME_HEADER + big.len()) as u64);
+        let before = log.file.reads.get();
+        assert_eq!(log.get(ob).unwrap(), &big[..]);
+        assert_eq!(log.file.reads.get() - before, 2, "one short read, then the rest");
+        assert_eq!(log.get_verified(ob).unwrap(), big);
+        // A short frame after the long one: the buffer is reused, one read.
+        let before = log.file.reads.get();
+        assert_eq!(log.get(small[3]).unwrap(), &[3u8; 4]);
+        assert_eq!(log.file.reads.get() - before, 1);
+        // After a reopen the sizes come from the verification pass.
+        let committed = log.len();
+        let mut log = BlobLog::open(MemBlob::of(log.file.bytes.clone()), committed).unwrap();
+        assert_eq!(log.get(ob).unwrap(), &big[..]);
+        assert_eq!(log.get(small[15]).unwrap(), &[15u8; 4]);
+    }
+
+    #[test]
+    fn sync_releases_the_tail() {
+        let mut log = BlobLog::create(MemBlob::default()).unwrap();
+        for i in 0..64u8 {
+            log.append(&[i; 100]).unwrap();
+        }
+        assert!(log.tail.capacity() >= 64 * 112);
+        log.sync().unwrap();
+        assert_eq!(log.tail.capacity(), 0, "synced bytes are not held in memory");
+        assert_eq!(log.unsynced_bytes(), 0);
+        assert_eq!(log.len(), 64 * 112);
+        assert_eq!(log.get(63 * 112).unwrap(), &[63u8; 100]);
+        assert!(log.buf.capacity() < 2 * 112, "the read buffer holds one frame");
+    }
+
+    /// Frames too large for one scan chunk verify across chunk seams; a
+    /// flipped byte deep in the committed prefix still fails the open.
+    #[test]
+    fn streamed_verification_spans_chunks_and_still_rejects_corruption() {
+        let mut log = BlobLog::create(MemBlob::default()).unwrap();
+        let big: Vec<u8> = (0..SCAN_CHUNK as u32 + 777).map(|i| (i % 253) as u8).collect();
+        let (o1, _) = log.append(b"head").unwrap();
+        let (o2, _) = log.append(&big).unwrap();
+        let (o3, _) = log.append(b"after the seam").unwrap();
+        let committed = log.len();
+        let image = log.file.bytes.clone();
+        let mut reopened = BlobLog::open(MemBlob::of(image.clone()), committed).unwrap();
+        assert!(reopened.file.reads.get() >= 2, "the pass streams in chunks");
+        assert_eq!(reopened.get(o1).unwrap(), b"head");
+        assert_eq!(reopened.get(o2).unwrap(), &big[..]);
+        assert_eq!(reopened.get(o3).unwrap(), b"after the seam");
+        for flip in [SCAN_CHUNK + 5, image.len() - 1] {
+            let mut bad = image.clone();
+            bad[flip] ^= 0x40;
+            let r = BlobLog::open(MemBlob::of(bad), committed);
+            assert!(matches!(r, Err(ExtMemError::Corrupt(_))), "flip at {flip} must fail");
+        }
+    }
+
+    #[test]
+    fn file_blob_reads_cross_the_sync_and_survive_reopen() {
+        let path = tmp("cross");
+        let _ = std::fs::remove_file(&path);
+        let (committed, o1, o2);
+        {
+            let mut log = BlobLog::create(FileBlob::create(&path).unwrap()).unwrap();
+            o1 = log.append(b"synced frame").unwrap().0;
+            log.sync().unwrap();
+            o2 = log.append(b"tail frame").unwrap().0;
+            assert_eq!(log.get(o1).unwrap(), b"synced frame", "from the file");
+            assert_eq!(log.get(o2).unwrap(), b"tail frame", "from the tail");
+            log.sync().unwrap();
+            assert_eq!(log.get(o2).unwrap(), b"tail frame", "from the file after the sync");
+            committed = log.len();
+        }
+        let mut log = BlobLog::open(FileBlob::open(&path).unwrap(), committed).unwrap();
+        assert_eq!(log.get(o1).unwrap(), b"synced frame");
+        assert_eq!(log.get(o2).unwrap(), b"tail frame");
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -219,6 +219,39 @@ impl Block {
 
     /// Deserializes a block of the given `capacity` from `buf`.
     pub fn decode_from(capacity: usize, buf: &[u8]) -> Result<Self> {
+        let len = Self::checked_len(capacity, buf)?;
+        let tag = le_word(buf, 8);
+        let next = BlockId::decode_opt(le_word(buf, 16));
+        let mut items = Vec::with_capacity(capacity);
+        for slot in 0..len {
+            let off = 24 + slot * 16;
+            items.push(Item::new(le_word(buf, off), le_word(buf, off + 8)));
+        }
+        Ok(Block { capacity, tag, next, items })
+    }
+
+    /// Probes an encoded block image in place: `key`'s value (first
+    /// match, as [`Block::find`]) and the chain pointer (as
+    /// [`Block::next`]), without building a [`Block`]. Applies the same
+    /// checks as [`Block::decode_from`] (exact image length, stored
+    /// length within capacity), so a corrupt image is an `Err`.
+    pub fn probe_encoded(
+        capacity: usize,
+        buf: &[u8],
+        key: Key,
+    ) -> Result<(Option<Value>, Option<BlockId>)> {
+        let len = Self::checked_len(capacity, buf)?;
+        let next = BlockId::decode_opt(le_word(buf, 16));
+        let found = buf[24..24 + len * 16]
+            .chunks_exact(16)
+            .find(|item| le_word(item, 0) == key)
+            .map(|item| le_word(item, 8));
+        Ok((found, next))
+    }
+
+    /// The stored item count of an encoded image, after checking the
+    /// image length and that the count fits the capacity.
+    fn checked_len(capacity: usize, buf: &[u8]) -> Result<usize> {
         if buf.len() != Self::encoded_len(capacity) {
             return Err(ExtMemError::Corrupt(format!(
                 "expected {} bytes, got {}",
@@ -226,26 +259,22 @@ impl Block {
                 buf.len()
             )));
         }
-        let word = |i: usize| -> u64 {
-            let mut w = [0u8; 8];
-            w.copy_from_slice(&buf[i..i + 8]);
-            u64::from_le_bytes(w)
-        };
-        let len = word(0) as usize;
-        if len > capacity {
+        let len = le_word(buf, 0);
+        if len > capacity as u64 {
             return Err(ExtMemError::Corrupt(format!(
                 "stored length {len} exceeds capacity {capacity}"
             )));
         }
-        let tag = word(8);
-        let next = BlockId::decode_opt(word(16));
-        let mut items = Vec::with_capacity(capacity);
-        for slot in 0..len {
-            let off = 24 + slot * 16;
-            items.push(Item::new(word(off), word(off + 8)));
-        }
-        Ok(Block { capacity, tag, next, items })
+        Ok(len as usize)
     }
+}
+
+/// The little-endian word at byte offset `i` of `buf`.
+#[inline]
+pub(crate) fn le_word(buf: &[u8], i: usize) -> u64 {
+    let mut w = [0u8; 8];
+    w.copy_from_slice(&buf[i..i + 8]);
+    u64::from_le_bytes(w)
 }
 
 #[cfg(test)]
@@ -336,6 +365,36 @@ mod tests {
         let mut buf = vec![0u8; Block::encoded_len(2)];
         buf[0..8].copy_from_slice(&99u64.to_le_bytes()); // len 99 > cap 2
         assert!(Block::decode_from(2, &buf).is_err());
+    }
+
+    #[test]
+    fn probe_encoded_answers_like_decode_then_find() {
+        let mut b = filled(6, 4);
+        b.set_next(Some(BlockId(9)));
+        b.push(Item::new(2, 77)).unwrap(); // a later duplicate: first match wins
+        let mut buf = vec![0u8; Block::encoded_len(6)];
+        b.encode_into(&mut buf);
+        for key in 0..8u64 {
+            assert_eq!(Block::probe_encoded(6, &buf, key).unwrap(), (b.find(key), b.next()));
+        }
+        // Stale item bytes past the stored length are inert, as in decode.
+        let mut short = filled(6, 1);
+        short.set_next(None);
+        short.encode_into(&mut buf[..]);
+        buf[24 + 16..24 + 24].copy_from_slice(&3u64.to_le_bytes());
+        assert_eq!(Block::probe_encoded(6, &buf, 3).unwrap(), (None, None));
+        let zeros = vec![0u8; Block::encoded_len(6)];
+        assert_eq!(Block::probe_encoded(6, &zeros, 0).unwrap(), (None, None));
+    }
+
+    #[test]
+    fn probe_encoded_rejects_what_decode_rejects() {
+        assert!(Block::probe_encoded(6, &[0u8; 10], 0).is_err());
+        let mut buf = vec![0u8; Block::encoded_len(2)];
+        buf[0..8].copy_from_slice(&3u64.to_le_bytes()); // len 3 > cap 2
+        assert!(matches!(Block::probe_encoded(2, &buf, 0), Err(ExtMemError::Corrupt(_))));
+        buf[0..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(Block::probe_encoded(2, &buf, 0), Err(ExtMemError::Corrupt(_))));
     }
 
     #[test]

@@ -4,6 +4,7 @@
 use crate::backend::StorageBackend;
 use crate::block::{Block, BlockId};
 use crate::error::Result;
+use crate::item::{Key, Value};
 use crate::pool::{BufferPool, EvictionPolicy, PoolStats};
 use crate::stats::{IoCostModel, IoSnapshot, IoStats};
 
@@ -101,23 +102,44 @@ impl<B: StorageBackend> Disk<B> {
 
     /// Reads block `id` (1 read I/O, or free on a pool hit).
     pub fn read(&mut self, id: BlockId) -> Result<Block> {
-        if let Some(pool) = self.pool.as_mut() {
-            if let Some(blk) = pool.get(id) {
-                return Ok(blk.clone());
-            }
-            // Miss: fetch, cache clean, pay for the read and any writeback.
-            let blk = self.backend.read(id)?;
+        if let Some(blk) = self.pool.as_mut().and_then(|pool| pool.get(id)) {
+            return Ok(blk.clone());
+        }
+        self.fetch(id)
+    }
+
+    /// Probes block `id` for `key`: the value found (first match) and
+    /// the block's chain pointer. Charged exactly as [`Disk::read`] —
+    /// one read I/O, or free on a pool hit — but unpooled the backend
+    /// scans the stored block in place ([`StorageBackend::probe`])
+    /// instead of handing out a [`Block`]. A pooled miss caches the
+    /// block as `read` does, so hit/miss sequences are unchanged.
+    pub fn probe(&mut self, id: BlockId, key: Key) -> Result<(Option<Value>, Option<BlockId>)> {
+        if self.pool.is_none() {
+            let out = self.backend.probe(id, key)?;
             self.stats.record_read();
+            return Ok(out);
+        }
+        if let Some(blk) = self.pool.as_mut().and_then(|pool| pool.get(id)) {
+            return Ok((blk.find(key), blk.next()));
+        }
+        let blk = self.fetch(id)?;
+        Ok((blk.find(key), blk.next()))
+    }
+
+    /// A backend read charged one read I/O — a pool miss (already
+    /// counted by the caller's `get`) or an unpooled read. Pooled, the
+    /// block is cached clean, paying for any dirty frame it evicts.
+    fn fetch(&mut self, id: BlockId) -> Result<Block> {
+        let blk = self.backend.read(id)?;
+        self.stats.record_read();
+        if let Some(pool) = self.pool.as_mut() {
             if let Some((wid, wblk)) = pool.insert(id, blk.clone(), false) {
                 self.backend.write(wid, &wblk)?;
                 self.stats.record_write();
             }
-            Ok(blk)
-        } else {
-            let blk = self.backend.read(id)?;
-            self.stats.record_read();
-            Ok(blk)
         }
+        Ok(blk)
     }
 
     /// Writes block `id` (1 write I/O, or deferred into the pool).
@@ -430,6 +452,72 @@ mod tests {
         let p = d.pool_stats().unwrap();
         assert_eq!(p.misses, 2);
         assert_eq!(p.hits, 1);
+    }
+
+    /// Every backend answers a probe exactly as `read` + `find`/`next`,
+    /// over never-written, full, chained and recycled blocks; a freed or
+    /// out-of-range id is an error on both paths.
+    #[test]
+    fn probe_answers_like_read_then_find_on_every_backend() {
+        use crate::file_disk::FileDisk;
+        use crate::sim_disk::SimDisk;
+
+        fn check<B: StorageBackend>(mut d: B) {
+            let b = d.block_capacity();
+            let base = d.allocate_contiguous(3).unwrap();
+            let (zero, full, chained) = (base, BlockId(base.raw() + 1), BlockId(base.raw() + 2));
+            let mut blk = Block::new(b);
+            for k in 0..b as u64 {
+                blk.push(Item::new(k, k + 10)).unwrap();
+            }
+            blk.set_tag(7);
+            d.write(full, &blk).unwrap();
+            let mut blk = Block::new(b);
+            blk.push(Item::new(100, 1)).unwrap();
+            blk.push(Item::new(2, 99)).unwrap();
+            blk.set_next(Some(full));
+            d.write(chained, &blk).unwrap();
+            let recycled = d.allocate().unwrap();
+            let mut blk = Block::new(b);
+            blk.push(Item::new(3, 33)).unwrap();
+            blk.set_next(Some(zero));
+            d.write(recycled, &blk).unwrap();
+            d.free(recycled).unwrap();
+            assert_eq!(d.allocate().unwrap(), recycled, "the freed slot comes back");
+            let freed = d.allocate().unwrap();
+            d.write(freed, &blk).unwrap();
+            d.free(freed).unwrap();
+            for id in [zero, full, chained, recycled] {
+                for key in (0..2 * b as u64 + 3).chain([100]) {
+                    let blk = d.read(id).unwrap();
+                    let got = d.probe(id, key).unwrap();
+                    assert_eq!(got, (blk.find(key), blk.next()), "block {id:?}, key {key}");
+                }
+            }
+            assert!(d.read(freed).is_err() && d.probe(freed, 3).is_err(), "freed");
+            let past = BlockId(freed.raw() + 10);
+            assert!(d.read(past).is_err() && d.probe(past, 3).is_err(), "out of range");
+        }
+        check(MemDisk::new(4));
+        check(FileDisk::temp(4).unwrap());
+        check(SimDisk::new(4));
+    }
+
+    #[test]
+    fn probe_is_charged_like_read() {
+        let mut d = disk(4);
+        let id = d.allocate().unwrap();
+        d.read_modify_write(id, |b| b.push(Item::new(1, 5)).unwrap()).unwrap();
+        let e = d.epoch();
+        assert_eq!(d.probe(id, 1).unwrap(), (Some(5), None));
+        assert_eq!(d.since(&e).reads, 1, "unpooled: one read");
+        d.attach_pool(1, EvictionPolicy::Lru);
+        let e = d.epoch();
+        assert_eq!(d.probe(id, 1).unwrap(), (Some(5), None)); // miss: 1 read
+        assert_eq!(d.probe(id, 2).unwrap(), (None, None)); // hit: free
+        assert_eq!(d.since(&e).reads, 1);
+        assert_eq!(d.pool_stats().unwrap().hits, 1);
+        assert_eq!(d.pool_stats().unwrap().misses, 1);
     }
 
     #[test]

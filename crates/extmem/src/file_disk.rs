@@ -1,12 +1,13 @@
 //! File-backed storage backend: the same block interface over a real file.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 use crate::backend::{PersistentBackend, SlotAllocator, StorageBackend};
 use crate::block::{Block, BlockId};
 use crate::error::{ExtMemError, Result};
+use crate::item::{Key, Value};
 
 /// A disk backed by a single flat file of fixed-size block slots.
 ///
@@ -15,6 +16,9 @@ use crate::error::{ExtMemError, Result};
 /// block (see [`Block::decode_from`]), so allocation past the high-water
 /// mark is a pure `set_len` — the OS zero-fills the extension and no
 /// initialization bytes are written.
+///
+/// Every block I/O is one positioned syscall (`pread`/`pwrite` via
+/// [`FileExt`]) on the block's slot — no seek, no shared file cursor.
 ///
 /// The allocator state (free list) is kept in memory; callers that want
 /// persistence across process restarts serialize it themselves (see
@@ -144,6 +148,14 @@ impl FileDisk {
         }
         Ok(())
     }
+
+    /// Reads live block `id`'s slot into the scratch buffer: one `pread`.
+    fn load(&mut self, id: BlockId) -> Result<()> {
+        self.check_live(id)?;
+        let off = self.offset(id);
+        self.file.read_exact_at(&mut self.scratch, off)?;
+        Ok(())
+    }
 }
 
 impl StorageBackend for FileDisk {
@@ -152,20 +164,22 @@ impl StorageBackend for FileDisk {
     }
 
     fn read(&mut self, id: BlockId) -> Result<Block> {
-        self.check_live(id)?;
-        let off = self.offset(id);
-        self.file.seek(SeekFrom::Start(off))?;
-        self.file.read_exact(&mut self.scratch)?;
+        self.load(id)?;
         Block::decode_from(self.block_capacity, &self.scratch)
+    }
+
+    /// One `pread` of the slot into the scratch buffer, then an in-place
+    /// scan of its bytes: no `Block`, no item vector.
+    fn probe(&mut self, id: BlockId, key: Key) -> Result<(Option<Value>, Option<BlockId>)> {
+        self.load(id)?;
+        Block::probe_encoded(self.block_capacity, &self.scratch, key)
     }
 
     fn write(&mut self, id: BlockId, block: &Block) -> Result<()> {
         self.check_live(id)?;
         debug_assert_eq!(block.capacity(), self.block_capacity);
         block.encode_into(&mut self.scratch);
-        let off = self.offset(id);
-        self.file.seek(SeekFrom::Start(off))?;
-        self.file.write_all(&self.scratch)?;
+        self.file.write_all_at(&self.scratch, self.offset(id))?;
         Ok(())
     }
 
@@ -178,8 +192,7 @@ impl StorageBackend for FileDisk {
                 // The reset happens *before* the allocator state changes,
                 // so a failed write leaves the slot safely on the free
                 // list instead of in limbo (neither free nor live).
-                self.file.seek(SeekFrom::Start(idx * self.block_bytes as u64))?;
-                self.file.write_all(&[0u8; 24])?;
+                self.file.write_all_at(&[0u8; 24], idx * self.block_bytes as u64)?;
                 self.alloc.commit_recycle(idx);
                 idx
             }
@@ -202,17 +215,17 @@ impl StorageBackend for FileDisk {
         // write over the run, done *before* the allocator state changes
         // so a failed write leaves the run safely on the free list.
         if let Some(base) = self.alloc.peek_run(n) {
-            self.file.seek(SeekFrom::Start(base * self.block_bytes as u64))?;
             // Zero in bounded chunks: a post-GC run can span most of the
             // file, and one Vec for the whole range would be unbounded
             // transient heap.
             const ZERO_CHUNK: usize = 1 << 18;
             let zeros = vec![0u8; ZERO_CHUNK.min(n * self.block_bytes)];
-            let mut remaining = n * self.block_bytes;
-            while remaining > 0 {
-                let step = remaining.min(zeros.len());
-                self.file.write_all(&zeros[..step])?;
-                remaining -= step;
+            let mut at = base * self.block_bytes as u64;
+            let end = at + (n * self.block_bytes) as u64;
+            while at < end {
+                let step = (end - at).min(zeros.len() as u64);
+                self.file.write_all_at(&zeros[..step as usize], at)?;
+                at += step;
             }
             self.alloc.commit_run(base, n);
             return Ok(BlockId(base));
@@ -350,8 +363,9 @@ mod tests {
     #[test]
     fn free_check_stays_fast_under_churn() {
         // Regression shape for the old O(|free|) scan: heavy free/alloc
-        // churn with a large standing free list. With the HashSet this
-        // finishes instantly; with the linear scan it was quadratic.
+        // churn with a large standing free list. With the liveness
+        // bitmap this finishes instantly; with the linear scan it was
+        // quadratic.
         let mut d = FileDisk::temp(2).unwrap();
         let ids: Vec<_> = (0..2000).map(|_| d.allocate().unwrap()).collect();
         for &id in &ids[1000..] {
@@ -471,6 +485,20 @@ mod tests {
         assert!(d.restore_free_list(vec![5]).is_err(), "out of range");
         assert!(d.restore_free_list(vec![0, 0]).is_err(), "duplicate");
         assert!(d.restore_free_list(vec![0]).is_ok());
+    }
+
+    #[test]
+    fn slot_with_an_overlong_stored_len_is_corrupt_not_a_panic() {
+        let mut d = FileDisk::temp(2).unwrap();
+        let id = d.allocate().unwrap();
+        let mut blk = Block::new(2);
+        blk.push(Item::new(1, 11)).unwrap();
+        d.write(id, &blk).unwrap();
+        assert_eq!(d.probe(id, 1).unwrap(), (Some(11), None));
+        // Stored len 3 > capacity 2: the scan must not run off the slot.
+        d.file.write_all_at(&3u64.to_le_bytes(), d.offset(id)).unwrap();
+        assert!(matches!(d.probe(id, 1), Err(ExtMemError::Corrupt(_))));
+        assert!(matches!(d.read(id), Err(ExtMemError::Corrupt(_))));
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use crate::backend::{FreeRuns, StorageBackend};
 use crate::block::{Block, BlockId};
 use crate::error::{ExtMemError, Result};
+use crate::item::{Key, Value};
 
 /// An in-RAM "disk": a growable array of blocks with a free list.
 ///
@@ -47,6 +48,12 @@ impl StorageBackend for MemDisk {
 
     fn read(&mut self, id: BlockId) -> Result<Block> {
         Ok(self.slot(id)?.clone())
+    }
+
+    /// Scans the stored block in place — no clone.
+    fn probe(&mut self, id: BlockId, key: Key) -> Result<(Option<Value>, Option<BlockId>)> {
+        let blk = self.slot(id)?;
+        Ok((blk.find(key), blk.next()))
     }
 
     fn write(&mut self, id: BlockId, block: &Block) -> Result<()> {

@@ -139,7 +139,15 @@ pub enum IoEvent {
 /// FNV-1a over `bytes` — the content fold used by trace fingerprints
 /// (exported so downstream fingerprints stay comparable to the trace's).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a64_fold(FNV1A64_BASIS, bytes)
+}
+
+/// FNV-1a's initial state.
+pub(crate) const FNV1A64_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues an FNV-1a fold from state `h` over `bytes`, so a stream
+/// hashed piecewise folds to [`fnv1a64`] of the whole.
+pub(crate) fn fnv1a64_fold(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -612,21 +620,43 @@ impl SimEnv {
         )
     }
 
-    /// Reads the whole of blob `name` (one I/O op) — a process reads its
-    /// own unsynced appends, so the image is durable prefix + tail.
-    pub fn blob_read_all(&self, name: &str) -> Result<Vec<u8>> {
+    /// Reads `buf.len()` bytes of blob `name` at byte `offset` (one I/O
+    /// op, traced like a block read with the offset as its `id`) — a
+    /// process reads its own unsynced appends, so the visible image is
+    /// durable prefix + tail. A range past the visible end is an error.
+    pub fn blob_read_at(&self, name: &str, offset: u64, buf: &mut [u8]) -> Result<()> {
         self.guarded(
-            || IoEvent::Meta { label: format!("blob-read {name}"), fingerprint: 0 },
+            || IoEvent::Read { file: name.to_string(), id: offset },
             |st| {
                 let b = st
                     .blobs
                     .get(name)
                     .ok_or_else(|| ExtMemError::Corrupt(format!("sim blob {name} vanished")))?;
-                let mut out = b.durable.clone();
-                for chunk in &b.tail {
-                    out.extend_from_slice(chunk);
+                let end = offset
+                    .checked_add(buf.len() as u64)
+                    .filter(|&end| end <= b.visible_len())
+                    .ok_or_else(|| {
+                        ExtMemError::Io(std::io::Error::new(
+                            std::io::ErrorKind::UnexpectedEof,
+                            format!("sim blob {name}: read past the end at offset {offset}"),
+                        ))
+                    })?;
+                // Copy the overlap of [offset, end) with each segment.
+                let mut seg_start = 0u64;
+                for seg in std::iter::once(&b.durable).chain(&b.tail) {
+                    let seg_end = seg_start + seg.len() as u64;
+                    let (lo, hi) = (offset.max(seg_start), end.min(seg_end));
+                    if lo < hi {
+                        buf[(lo - offset) as usize..(hi - offset) as usize].copy_from_slice(
+                            &seg[(lo - seg_start) as usize..(hi - seg_start) as usize],
+                        );
+                    }
+                    if seg_end >= end {
+                        break;
+                    }
+                    seg_start = seg_end;
                 }
-                Ok(out)
+                Ok(())
             },
         )
     }
@@ -973,8 +1003,8 @@ impl BlobFile for SimBlob {
         self.env.blob_len(&self.name)
     }
 
-    fn read_all(&mut self) -> Result<Vec<u8>> {
-        self.env.blob_read_all(&self.name)
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+        self.env.blob_read_at(&self.name, offset, buf)
     }
 
     fn truncate(&mut self, len: u64) -> Result<()> {
@@ -1173,6 +1203,50 @@ mod tests {
         assert!(d.restore_free_list(vec![0]).is_ok());
     }
 
+    /// The whole visible image of a blob, through `read_at`.
+    fn image(b: &SimBlob) -> Vec<u8> {
+        let mut out = vec![0u8; b.len() as usize];
+        b.read_at(0, &mut out).unwrap();
+        out
+    }
+
+    #[test]
+    fn blob_read_at_serves_the_visible_image_and_is_clocked_like_a_block_read() {
+        let env = SimEnv::new();
+        let mut b = env.create_blob("t.blob").unwrap();
+        b.append(b"durable-").unwrap();
+        b.sync().unwrap();
+        for chunk in [&b"tail1"[..], b"", b"-tail2", b"!"] {
+            b.append(chunk).unwrap();
+        }
+        let want = b"durable-tail1-tail2!";
+        // Every sub-range, across the durable/tail and tail/tail seams.
+        for lo in 0..=want.len() {
+            for hi in lo..=want.len() {
+                let mut buf = vec![0u8; hi - lo];
+                b.read_at(lo as u64, &mut buf).unwrap();
+                assert_eq!(buf, &want[lo..hi], "range {lo}..{hi}");
+            }
+        }
+        assert!(b.read_at(want.len() as u64 - 2, &mut [0u8; 3]).is_err(), "past the end");
+        // Traced as a read of the blob file at the byte offset.
+        env.set_tracing(true);
+        env.take_trace();
+        b.read_at(8, &mut [0u8; 5]).unwrap();
+        let trace = env.take_trace();
+        assert!(
+            matches!(&trace[..], [IoEvent::Read { file, id: 8 }] if file == "t.blob"),
+            "{trace:?}"
+        );
+        // A crash point can land on a read, like any block read.
+        env.set_plan(FaultPlan::crash(env.ops(), 0));
+        assert!(b.read_at(0, &mut [0u8; 4]).is_err(), "crash fires at the read");
+        assert!(b.read_at(0, &mut [0u8; 4]).is_err(), "the machine is down");
+        env.power_cycle();
+        let b = env.open_blob("t.blob").unwrap();
+        assert_eq!(&image(&b)[..8], b"durable-");
+    }
+
     #[test]
     fn blob_appends_are_volatile_until_sync() {
         let env = SimEnv::new();
@@ -1184,8 +1258,8 @@ mod tests {
         env.set_plan(FaultPlan::crash(env.ops(), 3));
         assert!(b.append(b"x").is_err(), "crash point fires");
         env.power_cycle();
-        let mut b = env.open_blob("t.blob").unwrap();
-        assert_eq!(&b.read_all().unwrap()[..6], b"synced", "durable prefix survives exactly");
+        let b = env.open_blob("t.blob").unwrap();
+        assert_eq!(&image(&b)[..6], b"synced", "durable prefix survives exactly");
     }
 
     #[test]
@@ -1204,7 +1278,7 @@ mod tests {
             env.set_plan(FaultPlan::crash(env.ops(), seed));
             assert!(b.sync().is_err(), "crash fires at the sync");
             env.power_cycle();
-            let img = env.open_blob("t.blob").unwrap().read_all().unwrap();
+            let img = image(&env.open_blob("t.blob").unwrap());
             assert_eq!(&img[..4], b"AAAA");
             // After the durable prefix: zero or more whole appends, then
             // optionally one torn append (4 bytes, garbage tail), then
@@ -1226,11 +1300,11 @@ mod tests {
         b.sync().unwrap();
         b.append(b"crashtail").unwrap();
         b.truncate(8).unwrap();
-        assert_eq!(b.read_all().unwrap(), b"keepkeep");
+        assert_eq!(image(&b), b"keepkeep");
         // A cut inside the unsynced tail trims the volatile appends.
         b.append(b"abcdef").unwrap();
         b.truncate(11).unwrap();
-        assert_eq!(b.read_all().unwrap(), b"keepkeepabc");
+        assert_eq!(image(&b), b"keepkeepabc");
     }
 
     #[test]

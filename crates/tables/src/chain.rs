@@ -73,7 +73,8 @@ pub fn chain_upsert<B: StorageBackend>(
 /// Looks `key` up in the chain rooted at `head`.
 ///
 /// Cost: one read per visited block; a successful lookup of an item in
-/// the primary block costs exactly one I/O.
+/// the primary block costs exactly one I/O. Each visit is a
+/// [`Disk::probe`], so no block is built along the way.
 pub fn chain_lookup<B: StorageBackend>(
     disk: &mut Disk<B>,
     head: BlockId,
@@ -81,13 +82,10 @@ pub fn chain_lookup<B: StorageBackend>(
 ) -> Result<Option<Value>> {
     let mut cur = head;
     loop {
-        let blk = disk.read(cur)?;
-        if let Some(v) = blk.find(key) {
-            return Ok(Some(v));
-        }
-        match blk.next() {
-            Some(next) => cur = next,
-            None => return Ok(None),
+        match disk.probe(cur, key)? {
+            (Some(v), _) => return Ok(Some(v)),
+            (None, Some(next)) => cur = next,
+            (None, None) => return Ok(None),
         }
     }
 }
@@ -339,6 +337,54 @@ mod tests {
         }
         // Each block written exactly once: 4 writes for 10 items at b=3.
         assert_eq!(d.stats().writes(), 4);
+    }
+
+    /// The pre-probe lookup: `read` each block, then `find` / `next`.
+    fn lookup_by_reads(d: &mut Disk<MemDisk>, head: BlockId, key: Key) -> (Option<Value>, u64) {
+        let (mut cur, mut visited) = (head, 0);
+        loop {
+            let blk = d.read(cur).unwrap();
+            visited += 1;
+            if let Some(v) = blk.find(key) {
+                return (Some(v), visited);
+            }
+            match blk.next() {
+                Some(next) => cur = next,
+                None => return (None, visited),
+            }
+        }
+    }
+
+    #[test]
+    fn lookup_charges_one_read_per_visited_block_with_and_without_a_pool() {
+        use dxh_extmem::EvictionPolicy;
+        for pool in [false, true] {
+            // Twin chains head[0,1,2] -> [3,4,5] -> [6,7,8] -> [9].
+            let (mut d, head) = setup();
+            let (mut twin, twin_head) = setup();
+            for k in 0..10u64 {
+                chain_upsert(&mut d, head, Item::new(k, k + 100)).unwrap();
+                chain_upsert(&mut twin, twin_head, Item::new(k, k + 100)).unwrap();
+            }
+            if pool {
+                d.attach_pool(2, EvictionPolicy::Lru);
+                twin.attach_pool(2, EvictionPolicy::Lru);
+            }
+            for key in [0u64, 4, 9, 99, 9, 8, 1, 99] {
+                let e = d.epoch();
+                let got = chain_lookup(&mut d, head, key).unwrap();
+                let (want, visited) = lookup_by_reads(&mut twin, twin_head, key);
+                assert_eq!(got, want, "key {key}");
+                let delta = d.since(&e);
+                assert_eq!((delta.writes, delta.rmws), (0, 0), "lookups never write");
+                if !pool {
+                    assert_eq!(delta.reads, visited, "one read per visited block, key {key}");
+                }
+                // Charged exactly like the read-based walk, pool hits included.
+                assert_eq!(d.stats().reads(), twin.stats().reads(), "key {key}");
+                assert_eq!(d.pool_stats(), twin.pool_stats(), "key {key}");
+            }
+        }
     }
 
     #[test]

@@ -594,6 +594,29 @@ mod tests {
         assert!(report.committed_batches > 0);
     }
 
+    /// Log before harden: a checkpoint turn whose harden folded a batch
+    /// the commit log did not hold yet could, after a crash between the
+    /// harden's data fsync and its manifest commit, reopen the old
+    /// manifest over blocks holding that batch and refold an older
+    /// logged put over its delete — a split batch. Which I/O a crash
+    /// index lands on depends on the thread schedule, so this sweeps
+    /// more seeds and points than the CI-sized sweep does.
+    #[test]
+    fn checkpoint_turns_log_before_they_harden() {
+        for s in 0..8u64 {
+            let spec = ServiceTortureSpec::checkpointing(0x10C_BEF0 ^ s.wrapping_mul(0x9E37_79B9));
+            let failures = sweep_service_crashes(&spec, 16);
+            assert!(
+                failures.is_empty(),
+                "seed {}: {} crash points split a batch; first: crash_at {:?}: {:?}",
+                spec.seed,
+                failures.len(),
+                failures[0].crash_at,
+                failures[0].violations.first()
+            );
+        }
+    }
+
     /// Crash indices swept across a lifecycle that rotates checkpoints:
     /// a clean run must actually exhibit the staggered rotation (every
     /// shard's manifest hardened at least once), and every crash window

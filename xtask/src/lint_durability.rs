@@ -663,6 +663,26 @@ mod tests {
         }
     }
 
+    /// Seeded mutant: a positioned write (`write_all_at`) renamed over
+    /// a manifest with no fsync between — classified like `write_all`.
+    #[test]
+    fn positioned_write_before_rename_is_caught() {
+        let bad = "
+            fn commit(&mut self) -> Result<()> {
+                self.file.write_all_at(bytes, 0)?;
+                fs::rename(&tmp, &dst)?;
+                sync_dir(&self.dir)
+            }
+            fn sync_dir(dir: &Path) -> Result<()> {
+                fs::File::open(dir)?.sync_all()?;
+                Ok(())
+            }
+        ";
+        let v = scan(bad);
+        assert_eq!(rules_of(&v), vec!["rename-after-data-fsync"], "{v:?}");
+        assert_eq!(v[0].line, 4);
+    }
+
     /// Seeded mutant: a manifest-delta append with a bare buffered
     /// write as its nearest predecessor; the fsync'd shape passes, and
     /// a write-free append (the real `write_manifest_delta` shape,

@@ -497,19 +497,23 @@ impl StoreMedia for SimMedia {
     }
 
     fn commit_manifest(&mut self, text: &str) -> Result<()> {
-        self.env.meta_write(&self.scoped(MANIFEST), text.as_bytes())
+        // The rename, then its directory fsync: a fault at the second
+        // step fails a commit that is already durable.
+        let name = self.scoped(MANIFEST);
+        self.env.meta_write(&name, text.as_bytes())?;
+        self.env.meta_fsync(&name)
     }
 
     fn append_manifest_delta(&mut self, frame: &[u8]) -> Result<()> {
-        // Modeled as one atomic metadata write of the grown chain: the
-        // append either lands whole or not at all, and the write is the
-        // single faultable step a crash sweep can land on. (Torn-tail
-        // recovery is exercised by the frame-level store tests; the sim
-        // exercises the crash-between-appends windows.)
+        // Modeled as one atomic metadata write of the grown chain (the
+        // append either lands whole or not at all), then its fsync.
+        // (Torn-tail recovery is exercised by the frame-level store
+        // tests; the sim exercises the crash-between-appends windows.)
         let name = self.scoped(MANIFEST_DELTA);
         let mut chain = self.env.meta_read(&name)?.unwrap_or_default();
         chain.extend_from_slice(frame);
-        self.env.meta_write(&name, &chain)
+        self.env.meta_write(&name, &chain)?;
+        self.env.meta_fsync(&name)
     }
 
     fn read_manifest_deltas(&mut self) -> Result<Vec<u8>> {

@@ -59,8 +59,12 @@
 //! last manifest: items inserted after that sync point are lost (their
 //! `H0` copies died with the process), while items synced before it are
 //! found through the manifest's regions — blocks those regions reference
-//! are never recycled between syncs (the [`FileDisk`] quarantines frees
-//! until each manifest commits). Recovery then walks the manifest's
+//! are never recycled between syncs. The backend seals its live slots
+//! right before each manifest commit is attempted (a commit that reports
+//! failure may still have landed), and the [`FileDisk`] quarantines the
+//! frees of sealed slots until the next commit lands; a block allocated
+//! and freed between two commits is referenced by neither, so its slot
+//! recycles at once. Recovery then walks the manifest's
 //! regions (primaries plus overflow chains) to compute the **exact**
 //! live-block set and returns every other slot to the free list, so
 //! blocks orphaned by the crash are recycled by subsequent allocations
@@ -157,18 +161,19 @@ fn transition_dirty<M: StoreMedia>(media: &mut M, dirty: &mut bool) -> Result<()
     Ok(())
 }
 
-/// Creates (truncating) the data file `name` on `media` with frees
-/// quarantined until the next manifest commit — the shape every store
-/// generation is born in (initial create and both compaction targets).
+/// Creates (truncating) the data file `name` on `media` with frees of
+/// sealed slots quarantined until the next manifest commit — the shape
+/// every store generation is born in (initial create and both
+/// compaction targets).
 fn fresh_gen_disk<M: StoreMedia>(
     media: &mut M,
     name: &str,
     cfg: &CoreConfig,
 ) -> Result<Disk<M::Backend>> {
     let mut backend = media.create_data(name, cfg.b)?;
-    // Quarantine frees between syncs: blocks the last manifest's regions
-    // reference must stay physically intact until the next manifest
-    // (which lists them as free) is durable.
+    // Quarantine frees between syncs: blocks a (possibly) durable
+    // manifest's regions reference must stay physically intact until
+    // the next manifest (which lists them as free) is durable.
     backend.set_defer_recycling(true);
     Ok(Disk::new(backend, cfg.b, cfg.cost))
 }
@@ -502,6 +507,10 @@ impl<M: StoreMedia> KvStore<M> {
     /// into a full rewrite instead. The marker may only ever sit over a
     /// full manifest: reopen trusts the manifest's free list under the
     /// marker, and delta frames deliberately carry none.
+    ///
+    /// Both commit writers seal the backend's live slots right before
+    /// the attempt ([`PersistentBackend::seal_commit_point`]); the
+    /// quarantined frees are released only after the commit is durable.
     pub(crate) fn harden_commit(&mut self, set_marker: bool) -> Result<()> {
         self.check_poisoned()?;
         if !self.dirty {
@@ -699,8 +708,14 @@ impl<M: StoreMedia> KvStore<M> {
             }
         }
         // The media's commit is atomic and durable (tmp + rename + dir
-        // fsync on the real filesystem): the commit point.
-        self.media.commit_manifest(&out)?;
+        // fsync on the real filesystem): the commit point. Seal first:
+        // a commit that fails after its rename may still become durable,
+        // so every slot it names must stay quarantined when freed.
+        self.table.disk_mut().backend_mut().seal_commit_point();
+        if let Err(e) = self.media.commit_manifest(&out) {
+            self.after_failed_commit();
+            return Err(e);
+        }
         // The rewrite supersedes every delta frame: drop the chain with
         // no durability work (a frame surviving the best-effort clear
         // quotes the old epoch and is skipped at reopen).
@@ -755,12 +770,29 @@ impl<M: StoreMedia> KvStore<M> {
         frame.extend_from_slice(&(out.len() as u32).to_le_bytes());
         frame.extend_from_slice(&fnv1a64(out.as_bytes()).to_le_bytes());
         frame.extend_from_slice(out.as_bytes());
-        self.media.append_manifest_delta(&frame)?;
+        // Sealed before the attempt, as for a full rewrite: an append
+        // whose fsync fails may still land.
+        self.table.disk_mut().backend_mut().seal_commit_point();
+        if let Err(e) = self.media.append_manifest_delta(&frame) {
+            self.after_failed_commit();
+            return Err(e);
+        }
         self.delta_seq = seq;
         self.committed_levels = levels;
         self.manifest_io.delta_commits += 1;
         self.manifest_io.delta_bytes += frame.len() as u64;
         Ok(())
+    }
+
+    /// A commit attempt failed, but it may have landed: a rewrite quoting
+    /// epoch `self.epoch + 1`, or a frame reusing sequence number
+    /// `delta_seq + 1`. A later delta frame would then quote a superseded
+    /// epoch or repeat a sequence number, and reopen would skip it or end
+    /// the chain before it. So move past that epoch and make the next
+    /// commit a full rewrite, which supersedes whatever landed.
+    fn after_failed_commit(&mut self) {
+        self.epoch += 1;
+        self.delta_seq = DELTA_ROLLOVER;
     }
 
     /// Manifest-commit I/O accounting since this handle opened: how many
@@ -2383,5 +2415,188 @@ mod tests {
                 "synced payload {k} survives the crash"
             );
         }
+    }
+
+    /// A commit that reports failure after it landed — the manifest
+    /// rename's directory fsync faults (`delta == false`), or the delta
+    /// append's fsync does — may be the commit a crash recovers to. Every
+    /// slot it references must therefore stay quarantined when freed:
+    /// churn after the failure (frees, recycling allocations, data
+    /// fsyncs) must not overwrite a block the recovered store reads.
+    /// The backend's born set is sealed when the commit is *attempted*;
+    /// retiring it only on success lets that churn recycle the regions
+    /// the possibly-durable manifest names, and this test then fails.
+    fn failed_commit_that_lands_keeps_its_blocks(delta: bool) {
+        use crate::media::{SimMedia, MANIFEST_DELTA};
+        use dxh_extmem::{FaultPlan, SimEnv};
+        let env = SimEnv::new();
+        let mut s = KvStore::open_on(SimMedia::open(&env).unwrap(), cfg(), 71).unwrap();
+        for k in 0..400u64 {
+            s.insert(k, k * 3).unwrap();
+        }
+        s.sync().unwrap();
+        // New regions born after that commit, then a commit attempt that
+        // lands but reports failure.
+        for k in 400..800u64 {
+            s.insert(k, k * 3).unwrap();
+        }
+        s.harden_flush().unwrap();
+        s.harden_data_sync().unwrap();
+        let landed = if delta { MANIFEST_DELTA } else { MANIFEST };
+        let before = env.meta_read(landed).unwrap();
+        // A marker-setting commit rewrites the manifest (meta-write, then
+        // its fsync); a marker-less one appends a delta frame (chain
+        // read, write, then its fsync). Fault the fsync.
+        env.fail_after(if delta { 2 } else { 1 });
+        assert!(s.harden_commit(!delta).is_err(), "the fault fails the commit");
+        env.set_plan(FaultPlan::default());
+        assert_ne!(env.meta_read(landed).unwrap(), before, "the failed commit landed");
+        // Churn: the merges free the regions the landed commit names and
+        // allocate again; make every block durable without committing.
+        for k in 800..4000u64 {
+            s.insert(k, k * 3).unwrap();
+        }
+        s.harden_flush().unwrap();
+        s.harden_data_sync().unwrap();
+        env.set_plan(FaultPlan::crash(env.ops(), 5));
+        drop(s); // the drop's sync dies at the crash point
+        env.power_cycle();
+        let mut s = KvStore::open_on(SimMedia::open(&env).unwrap(), cfg(), 71).unwrap();
+        for k in 0..800u64 {
+            assert_eq!(s.lookup(k).unwrap(), Some(k * 3), "key {k} of the landed commit");
+        }
+        assert_eq!(s.lookup(3999).unwrap(), None, "nothing past the landed commit");
+    }
+
+    /// After a commit that failed but landed, the next commit that
+    /// reports success must be the one reopen recovers: it may not quote
+    /// the epoch the landed rewrite superseded, nor repeat the landed
+    /// frame's sequence number.
+    fn commit_after_a_failure_that_landed_is_recovered(delta: bool) {
+        use crate::media::SimMedia;
+        use dxh_extmem::{FaultPlan, SimEnv};
+        let env = SimEnv::new();
+        let mut s = KvStore::open_on(SimMedia::open(&env).unwrap(), cfg(), 72).unwrap();
+        for k in 0..100u64 {
+            s.insert(k, k).unwrap();
+        }
+        s.sync().unwrap();
+        for k in 100..200u64 {
+            s.insert(k, k).unwrap();
+        }
+        s.harden_flush().unwrap();
+        s.harden_data_sync().unwrap();
+        env.fail_after(if delta { 2 } else { 1 });
+        assert!(s.harden_commit(!delta).is_err());
+        env.set_plan(FaultPlan::default());
+        for k in 200..300u64 {
+            s.insert(k, k).unwrap();
+        }
+        s.harden(false).unwrap();
+        env.set_plan(FaultPlan::crash(env.ops(), 5));
+        drop(s);
+        env.power_cycle();
+        let mut s = KvStore::open_on(SimMedia::open(&env).unwrap(), cfg(), 72).unwrap();
+        for k in 0..300u64 {
+            assert_eq!(s.lookup(k).unwrap(), Some(k), "key {k} of the last successful commit");
+        }
+    }
+
+    #[test]
+    fn a_commit_after_a_full_rewrite_that_failed_but_landed_is_recovered() {
+        commit_after_a_failure_that_landed_is_recovered(false);
+    }
+
+    #[test]
+    fn a_commit_after_a_delta_append_that_failed_but_landed_is_recovered() {
+        commit_after_a_failure_that_landed_is_recovered(true);
+    }
+
+    #[test]
+    fn a_full_commit_that_fails_after_its_rename_keeps_its_blocks() {
+        failed_commit_that_lands_keeps_its_blocks(false);
+    }
+
+    #[test]
+    fn a_delta_commit_that_fails_after_its_append_keeps_its_blocks() {
+        failed_commit_that_lands_keeps_its_blocks(true);
+    }
+
+    /// Device bytes at the paper's price: between two syncs of a steady
+    /// churn, the data file sees exactly the accounted block writes
+    /// (`writes + rmws`) while the table works — allocations, recycled
+    /// runs included, write nothing — and then, inside the sync, one
+    /// header reset per recycled slot that is live and was never written.
+    #[test]
+    fn data_file_writes_are_the_accounted_ones_plus_one_reset_per_unwritten_slot() {
+        use std::collections::BTreeSet;
+
+        use crate::media::SimMedia;
+        use dxh_extmem::{IoEvent, SimEnv};
+        let env = SimEnv::new();
+        let mut s = KvStore::open_on(SimMedia::open(&env).unwrap(), cfg(), 13).unwrap();
+        let data_writes = |trace: &[IoEvent]| -> Vec<u64> {
+            trace
+                .iter()
+                .filter_map(|e| match e {
+                    IoEvent::Write { file, id, .. } if file == DATA => Some(*id),
+                    _ => None,
+                })
+                .collect()
+        };
+        let (mut recycled, mut resets) = (0usize, 0usize);
+        let mut key = 0u64;
+        for round in 0..12u64 {
+            // The table phase: inserts, deletes of older keys, and the
+            // H0 flush — every accounted write happens here.
+            let ios = s.disk_stats();
+            let mut high_water = s.table.disk_mut().backend_mut().slots();
+            env.take_trace();
+            for _ in 0..300 {
+                s.insert(key, key + round).unwrap();
+                if key.is_multiple_of(3) && key > 200 {
+                    s.delete(key - 200).unwrap();
+                }
+                key += 1;
+            }
+            s.harden_flush().unwrap();
+            let table = env.take_trace();
+            let ios = s.disk_stats().since(&ios);
+            assert_eq!(
+                data_writes(&table).len() as u64,
+                ios.writes + ios.rmws,
+                "round {round}: a table-phase device write that was not accounted"
+            );
+            // Recycled slots still live and never written since.
+            let mut unwritten = BTreeSet::new();
+            for e in &table {
+                match e {
+                    IoEvent::Alloc { base, n, .. } if *base < high_water => {
+                        unwritten.extend(*base..base + n);
+                        recycled += *n as usize;
+                    }
+                    IoEvent::Alloc { base, n, .. } => high_water = base + n,
+                    IoEvent::Write { id, .. } | IoEvent::Free { id, .. } => {
+                        unwritten.remove(id);
+                    }
+                    _ => {}
+                }
+            }
+            // The sync phase: resets, then the barrier; no other write.
+            s.harden_data_sync().unwrap();
+            s.harden_commit(false).unwrap();
+            let sync = env.take_trace();
+            assert_eq!(
+                data_writes(&sync),
+                unwritten.iter().copied().collect::<Vec<_>>(),
+                "round {round}: the sync resets exactly the unwritten live recycled slots"
+            );
+            resets += unwritten.len();
+        }
+        assert!(
+            recycled > 0 && resets > 0,
+            "the churn recycles ({recycled}) and resets ({resets})"
+        );
+        assert!(resets < recycled, "most recycled slots are written, not reset");
     }
 }

@@ -61,13 +61,18 @@ pub trait StorageBackend {
 
 /// The persistence surface a durable store needs from a backend beyond
 /// raw block I/O: allocator introspection plus the deferred-recycling
-/// protocol that keeps sync-point-referenced blocks physically intact
-/// between manifest commits.
+/// protocol that keeps blocks a commit point references physically
+/// intact until a later commit point lists them as free.
 ///
 /// [`crate::FileDisk`] implements it over a real file and
 /// [`crate::SimDisk`] over the deterministic crash-simulation device, so
 /// a persistence layer written against this trait runs — and is torture-
 /// tested — without caring where the blocks live.
+///
+/// The protocol, per commit point: call
+/// [`PersistentBackend::seal_commit_point`] right before the commit is
+/// attempted, and [`PersistentBackend::commit_frees`] after it is
+/// durable.
 pub trait PersistentBackend: StorageBackend {
     /// High-water mark: total slots ever allocated (free ones included).
     fn slots(&self) -> u64;
@@ -82,10 +87,20 @@ pub trait PersistentBackend: StorageBackend {
     fn free_count(&self) -> usize;
 
     /// Quarantines future frees (on) or recycles them immediately (off,
-    /// the default). With deferral on, a freed block's contents stay
-    /// intact — and its slot is never re-allocated — until
-    /// [`PersistentBackend::commit_frees`].
+    /// the default). With deferral on, a freed slot that was live at the
+    /// last [`PersistentBackend::seal_commit_point`] keeps its contents
+    /// intact — and is never re-allocated — until
+    /// [`PersistentBackend::commit_frees`]. A slot allocated since that
+    /// seal is referenced by no commit point, so its free recycles at
+    /// once.
     fn set_defer_recycling(&mut self, defer: bool);
+
+    /// Seals a commit point: every slot live now may be referenced by
+    /// the commit about to be attempted, so its later free is
+    /// quarantined. Call right before the commit is attempted, not after
+    /// it succeeds — a commit that reports failure may still become
+    /// durable.
+    fn seal_commit_point(&mut self);
 
     /// Releases every quarantined slot for recycling. Call after the
     /// caller's own metadata (which lists those slots as free) is durable.
@@ -187,10 +202,25 @@ impl FreeRuns {
 /// backend-deterministic by construction: the torture harness certifies
 /// crash-safety of exactly the allocator the real store runs.
 ///
-/// Device I/O (header resets, zero fills, file growth) happens in the
-/// backend *between* a `peek_*` and its `commit_*`: the peek chooses
-/// without mutating, so a failed device op leaves the allocator state
-/// untouched (the slot stays safely on the free list).
+/// Two per-slot facts keep recycling at the price the paper charges:
+///
+/// * **born** — allocated since the last sealed commit point
+///   ([`SlotAllocator::seal_commit_point`]). No commit point that is or
+///   may become durable references such a slot, so under deferral its
+///   free skips the quarantine and goes straight back to the recycle
+///   stack. Every other free is quarantined until
+///   [`SlotAllocator::commit_frees`].
+/// * **stale** — recycled, but its device image not yet rewritten. The
+///   backend serves it as an empty block without touching the device,
+///   and resets its header once, at the next `sync`
+///   ([`SlotAllocator::stale_slots`]), only if it is still live and
+///   unwritten by then. Growth is never stale: the device zero-fills
+///   extensions.
+///
+/// Device I/O (file growth) happens in the backend *between* a `peek_*`
+/// and its `commit_*`: the peek chooses without mutating, so a failed
+/// device op leaves the allocator state untouched (the slot stays
+/// safely on the free list).
 #[derive(Debug, Default)]
 pub(crate) struct SlotAllocator {
     /// High-water mark: total slots ever allocated (free ones included).
@@ -205,8 +235,12 @@ pub(crate) struct SlotAllocator {
     /// All dead ids (`free` ∪ `pending_free`) as a bitmap over
     /// `[0, slots)`, one bit per slot: the liveness check every accounted
     /// read makes is a shift and a mask. Bits at or past `slots` are
-    /// always clear.
+    /// always clear (so are those of the two bitmaps below).
     dead: Vec<u64>,
+    /// Slots allocated since the last sealed commit point.
+    born: Vec<u64>,
+    /// Live recycled slots whose device image is not rewritten yet.
+    stale: Vec<u64>,
     /// When set, freed slots are quarantined instead of recycled.
     defer_recycling: bool,
     live: u64,
@@ -217,7 +251,14 @@ impl SlotAllocator {
     /// shape (restore the persisted free list afterwards) and, with
     /// `slots == 0`, the fresh-device shape.
     pub(crate) fn with_all_live(slots: u64) -> Self {
-        SlotAllocator { slots, live: slots, dead: bitmap_for(slots), ..Default::default() }
+        SlotAllocator {
+            slots,
+            live: slots,
+            dead: bitmap_for(slots),
+            born: bitmap_for(slots),
+            stale: bitmap_for(slots),
+            ..Default::default()
+        }
     }
 
     /// High-water mark.
@@ -233,6 +274,32 @@ impl SlotAllocator {
     /// Whether `id` is out of range or on the dead list.
     pub(crate) fn is_dead(&self, id: u64) -> bool {
         id >= self.slots || bit(&self.dead, id)
+    }
+
+    /// Whether live `id` is recycled but not yet rewritten: its device
+    /// image is some earlier block's, and it must read as empty.
+    pub(crate) fn is_stale(&self, id: u64) -> bool {
+        id < self.slots && bit(&self.stale, id)
+    }
+
+    /// Clears live `id`'s stale bit: its device image was rewritten (a
+    /// block write, or a sync's header reset), or it is being freed.
+    pub(crate) fn clear_stale(&mut self, id: u64) {
+        set_bit(&mut self.stale, id, false);
+    }
+
+    /// Every stale slot, ascending — the header resets a `sync` owes
+    /// before its data fsync.
+    pub(crate) fn stale_slots(&self) -> Vec<u64> {
+        let mut out = Vec::new();
+        for (w, &word) in self.stale.iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                out.push(w as u64 * 64 + word.trailing_zeros() as u64);
+                word &= word - 1;
+            }
+        }
+        out
     }
 
     /// Every dead slot (recyclable plus quarantined) in recycle order.
@@ -263,7 +330,14 @@ impl SlotAllocator {
         self.free.append(&mut self.pending_free);
     }
 
-    /// See [`PersistentBackend::restore_free_list`].
+    /// See [`PersistentBackend::seal_commit_point`]: no slot is born any
+    /// more, so every later free of a slot live now is quarantined.
+    pub(crate) fn seal_commit_point(&mut self) {
+        self.born.fill(0);
+    }
+
+    /// See [`PersistentBackend::restore_free_list`]. The device image
+    /// becomes the truth again: nothing is born or stale afterwards.
     pub(crate) fn restore_free_list(&mut self, free: Vec<u64>) -> Result<()> {
         let mut dead = bitmap_for(self.slots);
         for &id in &free {
@@ -277,62 +351,80 @@ impl SlotAllocator {
         self.free = free;
         self.pending_free.clear();
         self.dead = dead;
+        self.born.fill(0);
+        self.stale.fill(0);
         Ok(())
     }
 
     /// The slot the next single-slot recycle would take, without taking
-    /// it (the backend resets the slot's device image first).
+    /// it.
     pub(crate) fn peek_recycle(&self) -> Option<u64> {
         self.free.last().copied()
     }
 
     /// Takes `id` — which must be the current [`SlotAllocator::peek_recycle`]
-    /// answer — off the free list.
+    /// answer — off the free list, born and stale.
     pub(crate) fn commit_recycle(&mut self, id: u64) {
         let popped = self.free.pop();
         debug_assert_eq!(popped, Some(id), "commit must follow peek");
         self.runs.remove(id);
-        set_bit(&mut self.dead, id, false);
-        self.live += 1;
+        self.take_recycled(id);
     }
 
-    /// The lowest committed free run of at least `n` slots, without
+    /// The lowest recyclable free run of at least `n` slots, without
     /// taking it.
     pub(crate) fn peek_run(&self, n: usize) -> Option<u64> {
         self.runs.first_run_of(n)
     }
 
     /// Takes the run `[base, base + n)` — as returned by
-    /// [`SlotAllocator::peek_run`] — off the free list.
+    /// [`SlotAllocator::peek_run`] — off the free list, born and stale.
     pub(crate) fn commit_run(&mut self, base: u64, n: usize) {
         let end = base + n as u64;
         self.free.retain(|&id| !(base..end).contains(&id));
         self.runs.remove_range(base, end);
         for id in base..end {
-            set_bit(&mut self.dead, id, false);
+            self.take_recycled(id);
         }
-        self.live += n as u64;
+    }
+
+    /// Marks free `id` live, born and stale.
+    fn take_recycled(&mut self, id: u64) {
+        set_bit(&mut self.dead, id, false);
+        set_bit(&mut self.born, id, true);
+        set_bit(&mut self.stale, id, true);
+        self.live += 1;
     }
 
     /// Extends the high-water mark by `n` fresh live slots (the backend
-    /// has already grown the device) and returns the first new id.
+    /// has already grown the device) and returns the first new id. They
+    /// are born, but not stale: the extension reads as zeros.
     pub(crate) fn commit_grow(&mut self, n: u64) -> u64 {
         let base = self.slots;
         self.slots += n;
-        self.dead.resize(self.slots.div_ceil(64) as usize, 0);
+        let words = self.slots.div_ceil(64) as usize;
+        self.dead.resize(words, 0);
+        self.born.resize(words, 0);
+        self.stale.resize(words, 0);
+        for id in base..self.slots {
+            set_bit(&mut self.born, id, true);
+        }
         self.live += n;
         base
     }
 
-    /// Returns live `id` to the allocator (quarantined under deferral).
+    /// Returns live `id` to the allocator: quarantined under deferral
+    /// unless it was born since the last sealed commit point.
     pub(crate) fn release(&mut self, id: u64) {
-        if self.defer_recycling {
+        self.clear_stale(id);
+        if self.defer_recycling && !bit(&self.born, id) {
             self.pending_free.push(id);
         } else {
             self.free.push(id);
             self.runs.insert(id);
         }
         set_bit(&mut self.dead, id, true);
+        set_bit(&mut self.born, id, false);
         self.live -= 1;
     }
 }
@@ -423,7 +515,7 @@ mod tests {
 
         use proptest::prelude::*;
 
-        use super::super::{FreeRuns, SlotAllocator};
+        use super::super::{bit, FreeRuns, SlotAllocator};
         use super::model_first_run_of;
 
         proptest! {
@@ -486,27 +578,39 @@ mod tests {
             }
 
             /// The same model one level up: the whole `SlotAllocator`
-            /// driven through grow, release, defer on/off, commit,
-            /// single-slot recycle and run recycle, against a model of
-            /// committed-free and quarantined ids. After every op the
-            /// liveness bitmap answers `is_dead` for every id (out of
-            /// range included) exactly like the model, the run search
-            /// only ever sees committed frees, and the live/free counts
-            /// add up.
+            /// driven through grow, release, defer on/off, commit, seal,
+            /// block writes, single-slot recycle and run recycle, against
+            /// a model of free ids (split by why they are recyclable),
+            /// quarantined ids, born ids and stale ids. Every recycled id
+            /// must be committed-free or have been born since the last
+            /// seal; a sealed slot's free under deferral must always be
+            /// quarantined; stale ⊆ live. After every op the liveness,
+            /// born and stale bitmaps answer exactly like the model for
+            /// every id (out of range included), the run search only sees
+            /// recyclable ids, and the live/free counts add up.
             #[test]
-            fn slot_allocator_liveness_matches_a_btreeset_model(
-                ops in proptest::collection::vec((0u8..8, 0u64..1024, 1u64..6), 1..250),
+            fn slot_allocator_matches_a_model_with_born_and_stale_sets(
+                ops in proptest::collection::vec((0u8..10, 0u64..1024, 1u64..6), 1..250),
             ) {
                 let mut alloc = SlotAllocator::default();
                 let mut slots = 0u64;
-                let mut free: BTreeSet<u64> = BTreeSet::new();
+                // Recyclable because a commit point lists them free (or
+                // deferral was off when they were freed).
+                let mut committed: BTreeSet<u64> = BTreeSet::new();
+                // Recyclable because they were born and freed since the
+                // last seal: no commit point references them.
+                let mut born_free: BTreeSet<u64> = BTreeSet::new();
                 let mut pending: BTreeSet<u64> = BTreeSet::new();
+                let mut born: BTreeSet<u64> = BTreeSet::new();
+                let mut stale: BTreeSet<u64> = BTreeSet::new();
                 let mut defer = false;
                 for (sel, raw, n) in ops {
                     match sel {
-                        // Grow the device by n fresh live slots.
+                        // Grow the device by n fresh live slots: born,
+                        // never stale.
                         0 => {
                             prop_assert_eq!(alloc.commit_grow(n), slots);
+                            born.extend(slots..slots + n);
                             slots += n;
                         }
                         // Release a live slot (dead picks are skipped, as
@@ -514,8 +618,21 @@ mod tests {
                         1 | 2 if slots > 0 => {
                             let id = raw % slots;
                             if !alloc.is_dead(id) {
+                                let sealed = !born.contains(&id);
                                 alloc.release(id);
-                                if defer { pending.insert(id) } else { free.insert(id) };
+                                if !defer {
+                                    committed.insert(id);
+                                } else if sealed {
+                                    prop_assert!(
+                                        alloc.pending_free.contains(&id),
+                                        "sealed slot {} freed without quarantine", id
+                                    );
+                                    pending.insert(id);
+                                } else {
+                                    born_free.insert(id);
+                                }
+                                born.remove(&id);
+                                stale.remove(&id);
                             }
                         }
                         // Toggle deferral; turning it off commits.
@@ -523,40 +640,74 @@ mod tests {
                             defer = !defer;
                             alloc.set_defer_recycling(defer);
                             if !defer {
-                                free.append(&mut pending);
+                                committed.append(&mut pending);
                             }
                         }
                         4 => {
                             alloc.commit_frees();
-                            free.append(&mut pending);
+                            committed.append(&mut pending);
                         }
-                        // Single-slot recycle: only a committed free id.
+                        // Single-slot recycle: a recyclable id, which
+                        // comes back born and stale.
                         5 => {
                             if let Some(id) = alloc.peek_recycle() {
-                                prop_assert!(free.remove(&id), "recycled {} is not committed-free", id);
+                                prop_assert!(
+                                    committed.remove(&id) || born_free.remove(&id),
+                                    "recycled {} is neither committed-free nor born since the \
+                                     last seal", id
+                                );
                                 alloc.commit_recycle(id);
+                                born.insert(id);
+                                stale.insert(id);
                             } else {
-                                prop_assert!(free.is_empty());
+                                prop_assert!(committed.is_empty() && born_free.is_empty());
                             }
                         }
-                        // Run recycle: the lowest committed run of >= n.
+                        // Run recycle: the lowest recyclable run of >= n.
                         6 => {
+                            let free: BTreeSet<u64> = committed.union(&born_free).copied().collect();
                             let got = alloc.peek_run(n as usize);
                             prop_assert_eq!(got, model_first_run_of(&free, n as usize));
                             if let Some(base) = got {
                                 alloc.commit_run(base, n as usize);
                                 for id in base..base + n {
-                                    free.remove(&id);
+                                    prop_assert!(committed.remove(&id) || born_free.remove(&id));
+                                    born.insert(id);
+                                    stale.insert(id);
                                 }
+                            }
+                        }
+                        // Seal a commit point: nothing is born any more,
+                        // and the sealed commit lists the born frees free.
+                        7 => {
+                            alloc.seal_commit_point();
+                            born.clear();
+                            committed.append(&mut born_free);
+                        }
+                        // A block write (or a sync's reset) to a live slot.
+                        8 if slots > 0 => {
+                            let id = raw % slots;
+                            if !alloc.is_dead(id) {
+                                alloc.clear_stale(id);
+                                stale.remove(&id);
                             }
                         }
                         _ => {}
                     }
                     for id in 0..slots + 70 {
-                        let dead = id >= slots || free.contains(&id) || pending.contains(&id);
+                        let dead = id >= slots
+                            || committed.contains(&id)
+                            || born_free.contains(&id)
+                            || pending.contains(&id);
                         prop_assert_eq!(alloc.is_dead(id), dead, "is_dead({}) diverged", id);
+                        prop_assert!(!stale.contains(&id) || !dead, "stale {} is not live", id);
+                        prop_assert_eq!(alloc.is_stale(id), stale.contains(&id), "is_stale({})", id);
+                        if id < slots {
+                            prop_assert_eq!(bit(&alloc.born, id), born.contains(&id), "born({})", id);
+                        }
                     }
-                    let dead = (free.len() + pending.len()) as u64;
+                    prop_assert_eq!(alloc.stale_slots(), stale.iter().copied().collect::<Vec<_>>());
+                    let dead = (committed.len() + born_free.len() + pending.len()) as u64;
                     prop_assert_eq!(alloc.free_count() as u64, dead);
                     prop_assert_eq!(alloc.live(), slots - dead);
                     prop_assert_eq!(alloc.slots(), slots);

@@ -17,6 +17,15 @@ use crate::item::{Key, Value};
 /// mark is a pure `set_len` — the OS zero-fills the extension and no
 /// initialization bytes are written.
 ///
+/// Recycling a freed slot writes nothing either. The slot is **stale**
+/// until a block is written to it: reads and probes answer an empty
+/// block without touching the file, and the next [`StorageBackend::sync`]
+/// writes one 24-byte zero header over each slot still stale, before
+/// its `fdatasync`, so the device decodes it as empty too. Dropping the
+/// disk performs the same resets best-effort (without the fsync), so a
+/// raw [`FileDisk::open`] of an unsynced file decodes every live slot as
+/// its last owner saw it.
+///
 /// Every block I/O is one positioned syscall (`pread`/`pwrite` via
 /// [`FileExt`]) on the block's slot — no seek, no shared file cursor.
 ///
@@ -30,8 +39,9 @@ pub struct FileDisk {
     block_capacity: usize,
     block_bytes: usize,
     /// The shared allocator state machine (LIFO recycling, contiguous
-    /// runs, deferred-recycling quarantine) — one implementation across
-    /// backends, so block ids stay backend-deterministic.
+    /// runs, deferred-recycling quarantine, born and stale slots) — one
+    /// implementation across backends, so block ids stay
+    /// backend-deterministic.
     alloc: SlotAllocator,
     /// Scratch buffer reused across reads/writes to avoid per-op allocation.
     scratch: Vec<u8>,
@@ -115,14 +125,23 @@ impl FileDisk {
     }
 
     /// Quarantines future frees (on) or recycles them immediately (off,
-    /// the default). With deferral on, a freed block's contents stay on
+    /// the default). With deferral on, a freed block that was live at
+    /// the last [`FileDisk::seal_commit_point`] keeps its contents on
     /// disk untouched — and its slot is never handed back by
     /// [`StorageBackend::allocate`] — until [`FileDisk::commit_frees`].
-    /// Persistence layers turn this on so that blocks freed *after* their
-    /// last durable sync point still hold the data that sync point's
-    /// metadata references.
+    /// Persistence layers turn this on so that blocks freed *after* a
+    /// commit point still hold the data that commit point's metadata
+    /// references. A block allocated since the last seal is referenced
+    /// by no commit point, so its free recycles the slot at once.
     pub fn set_defer_recycling(&mut self, defer: bool) {
         self.alloc.set_defer_recycling(defer);
+    }
+
+    /// Seals a commit point: every slot live now is quarantined when
+    /// freed. Call right before the commit is attempted (a commit that
+    /// reports failure may still become durable).
+    pub fn seal_commit_point(&mut self) {
+        self.alloc.seal_commit_point();
     }
 
     /// Releases every quarantined slot for recycling. Call after the
@@ -149,12 +168,37 @@ impl FileDisk {
         Ok(())
     }
 
-    /// Reads live block `id`'s slot into the scratch buffer: one `pread`.
-    fn load(&mut self, id: BlockId) -> Result<()> {
+    /// Reads live block `id`'s slot into the scratch buffer: one `pread`,
+    /// or none for a stale slot (`false`), which holds an empty block.
+    fn load(&mut self, id: BlockId) -> Result<bool> {
         self.check_live(id)?;
+        if self.alloc.is_stale(id.raw()) {
+            return Ok(false);
+        }
         let off = self.offset(id);
         self.file.read_exact_at(&mut self.scratch, off)?;
+        Ok(true)
+    }
+
+    /// Writes a zero header over every stale slot, so the file decodes
+    /// it as the empty block reads already answer. A slot whose write
+    /// fails stays stale.
+    fn reset_stale(&mut self) -> Result<()> {
+        for id in self.alloc.stale_slots() {
+            // Decode reads `len` items, so the 24-byte header is all
+            // that needs resetting; stale item bytes past it are inert.
+            self.file.write_all_at(&[0u8; 24], id * self.block_bytes as u64)?;
+            self.alloc.clear_stale(id);
+        }
         Ok(())
+    }
+}
+
+impl Drop for FileDisk {
+    fn drop(&mut self) {
+        // Best-effort, with no fsync: nothing may depend on these resets
+        // being durable, since no commit point references a stale slot.
+        let _ = self.reset_stale();
     }
 }
 
@@ -164,14 +208,18 @@ impl StorageBackend for FileDisk {
     }
 
     fn read(&mut self, id: BlockId) -> Result<Block> {
-        self.load(id)?;
+        if !self.load(id)? {
+            return Ok(Block::new(self.block_capacity));
+        }
         Block::decode_from(self.block_capacity, &self.scratch)
     }
 
     /// One `pread` of the slot into the scratch buffer, then an in-place
     /// scan of its bytes: no `Block`, no item vector.
     fn probe(&mut self, id: BlockId, key: Key) -> Result<(Option<Value>, Option<BlockId>)> {
-        self.load(id)?;
+        if !self.load(id)? {
+            return Ok((None, None));
+        }
         Block::probe_encoded(self.block_capacity, &self.scratch, key)
     }
 
@@ -180,19 +228,15 @@ impl StorageBackend for FileDisk {
         debug_assert_eq!(block.capacity(), self.block_capacity);
         block.encode_into(&mut self.scratch);
         self.file.write_all_at(&self.scratch, self.offset(id))?;
+        self.alloc.clear_stale(id.raw());
         Ok(())
     }
 
     fn allocate(&mut self) -> Result<BlockId> {
         let idx = match self.alloc.peek_recycle() {
             Some(idx) => {
-                // Recycled slot: reset the stale image to an empty block.
-                // Only the 24-byte header matters — decode reads `len`
-                // items, so stale item bytes past the header are inert.
-                // The reset happens *before* the allocator state changes,
-                // so a failed write leaves the slot safely on the free
-                // list instead of in limbo (neither free nor live).
-                self.file.write_all_at(&[0u8; 24], idx * self.block_bytes as u64)?;
+                // Recycled slot: no device write. It reads as empty until
+                // written, and `sync` resets it if it never is.
                 self.alloc.commit_recycle(idx);
                 idx
             }
@@ -210,23 +254,10 @@ impl StorageBackend for FileDisk {
 
     fn allocate_contiguous(&mut self, n: usize) -> Result<BlockId> {
         // Recycle a contiguous run of free slots when one exists (only
-        // committed frees — quarantined slots still hold data a sync
-        // point references). Stale images are reset by one zero-fill
-        // write over the run, done *before* the allocator state changes
-        // so a failed write leaves the run safely on the free list.
+        // recyclable frees — quarantined slots still hold data a commit
+        // point references). No device write: the run's slots read as
+        // empty until written, and `sync` resets those never written.
         if let Some(base) = self.alloc.peek_run(n) {
-            // Zero in bounded chunks: a post-GC run can span most of the
-            // file, and one Vec for the whole range would be unbounded
-            // transient heap.
-            const ZERO_CHUNK: usize = 1 << 18;
-            let zeros = vec![0u8; ZERO_CHUNK.min(n * self.block_bytes)];
-            let mut at = base * self.block_bytes as u64;
-            let end = at + (n * self.block_bytes) as u64;
-            while at < end {
-                let step = (end - at).min(zeros.len() as u64);
-                self.file.write_all_at(&zeros[..step as usize], at)?;
-                at += step;
-            }
             self.alloc.commit_run(base, n);
             return Ok(BlockId(base));
         }
@@ -247,7 +278,9 @@ impl StorageBackend for FileDisk {
         self.alloc.live()
     }
 
+    /// Resets every slot still stale, then `fdatasync`s the file.
     fn sync(&mut self) -> Result<()> {
+        self.reset_stale()?;
         self.file.sync_data()?;
         Ok(())
     }
@@ -270,6 +303,10 @@ impl PersistentBackend for FileDisk {
 
     fn set_defer_recycling(&mut self, defer: bool) {
         FileDisk::set_defer_recycling(self, defer)
+    }
+
+    fn seal_commit_point(&mut self) {
+        FileDisk::seal_commit_point(self)
     }
 
     fn commit_frees(&mut self) {
@@ -457,12 +494,15 @@ mod tests {
         let mut blk = d.read(a).unwrap();
         blk.push(Item::new(5, 50)).unwrap();
         d.write(a, &blk).unwrap();
+        // A commit point is about to reference `a`.
+        d.seal_commit_point();
         d.free(a).unwrap();
-        // Dead for reads, but NOT recyclable yet: the next allocate must
-        // grow instead of handing the slot back (and resetting it).
+        // Dead for reads, but NOT recyclable yet: neither allocation path
+        // may hand the slot back (and let a write clobber it).
         assert!(d.read(a).is_err());
         let b = d.allocate().unwrap();
         assert_ne!(a, b, "quarantined slot must not be recycled");
+        assert_ne!(d.allocate_contiguous(1).unwrap(), a, "nor recycled as a run");
         // The quarantined contents are physically intact (a recovery path
         // re-marking the slot live would still read the old data).
         d.restore_free_list(Vec::new()).unwrap();
@@ -471,11 +511,127 @@ mod tests {
         let mut d = FileDisk::temp(2).unwrap();
         d.set_defer_recycling(true);
         let a = d.allocate().unwrap();
+        d.seal_commit_point();
         d.free(a).unwrap();
         assert_eq!(d.free_list(), vec![a.raw()], "pending frees appear in the persisted list");
         d.commit_frees();
         let b = d.allocate().unwrap();
         assert_eq!(a, b, "committed slot is recyclable");
+    }
+
+    #[test]
+    fn born_slots_recycle_within_one_commit_interval() {
+        let mut d = FileDisk::temp(2).unwrap();
+        d.set_defer_recycling(true);
+        let _anchor = d.allocate().unwrap();
+        d.seal_commit_point();
+        // Born since the seal: no commit point references it, so its
+        // free skips the quarantine.
+        let a = d.allocate().unwrap();
+        let mut blk = Block::new(2);
+        blk.push(Item::new(5, 50)).unwrap();
+        d.write(a, &blk).unwrap();
+        d.free(a).unwrap();
+        assert_eq!(d.allocate().unwrap(), a, "born slot recycles at once");
+        assert!(d.read(a).unwrap().is_empty(), "and reads as empty");
+        // The same for a whole run, recycled by the contiguous path.
+        let base = d.allocate_contiguous(3).unwrap();
+        for k in 0..3 {
+            d.free(BlockId(base.raw() + k)).unwrap();
+        }
+        let slots = d.slots();
+        assert_eq!(d.allocate_contiguous(3).unwrap(), base, "born run recycles at once");
+        assert_eq!(d.slots(), slots, "no growth");
+        // Once sealed, the same slot is quarantined again.
+        d.seal_commit_point();
+        d.free(a).unwrap();
+        assert_ne!(d.allocate().unwrap(), a, "a sealed slot's free is quarantined");
+    }
+
+    /// The 24 header bytes of slot `id` as the file holds them.
+    fn raw_header(d: &FileDisk, id: BlockId) -> [u8; 24] {
+        let mut h = [0u8; 24];
+        d.file.read_exact_at(&mut h, d.offset(id)).unwrap();
+        h
+    }
+
+    #[test]
+    fn recycled_run_reads_and_probes_empty_without_a_pread() {
+        let mut d = FileDisk::temp(2).unwrap();
+        let base = d.allocate_contiguous(4).unwrap();
+        for k in 0..4 {
+            let mut blk = Block::new(2);
+            blk.push(Item::new(k, k + 100)).unwrap();
+            blk.set_next(Some(BlockId(0)));
+            d.write(BlockId(base.raw() + k), &blk).unwrap();
+        }
+        for k in 0..4 {
+            d.free(BlockId(base.raw() + k)).unwrap();
+        }
+        assert_eq!(d.allocate_contiguous(4).unwrap(), base);
+        // Nothing was written: the old images are still on the device.
+        assert_ne!(raw_header(&d, base), [0u8; 24], "recycling wrote no zero fill");
+        // Cut the file out from under the run: any pread now fails, so
+        // answers that succeed were served without one.
+        d.file.set_len(0).unwrap();
+        for k in 0..4 {
+            let id = BlockId(base.raw() + k);
+            assert!(d.read(id).unwrap().is_empty());
+            assert_eq!(d.probe(id, k).unwrap(), (None, None));
+        }
+    }
+
+    #[test]
+    fn a_stale_slot_freed_before_sync_costs_no_reset() {
+        let mut d = FileDisk::temp(2).unwrap();
+        let a = d.allocate().unwrap();
+        let mut blk = Block::new(2);
+        blk.push(Item::new(1, 11)).unwrap();
+        d.write(a, &blk).unwrap();
+        d.free(a).unwrap();
+        assert_eq!(d.allocate().unwrap(), a);
+        d.free(a).unwrap();
+        d.sync().unwrap();
+        assert_eq!(raw_header(&d, a)[..8], 1u64.to_le_bytes(), "no reset was written");
+        // A slot written after recycling owes no reset either.
+        assert_eq!(d.allocate().unwrap(), a);
+        let mut blk = Block::new(2);
+        blk.push(Item::new(2, 22)).unwrap();
+        blk.push(Item::new(3, 33)).unwrap();
+        d.write(a, &blk).unwrap();
+        d.sync().unwrap();
+        assert_eq!(d.read(a).unwrap(), blk);
+    }
+
+    #[test]
+    fn unwritten_recycled_slots_decode_empty_on_a_raw_reopen() {
+        let path =
+            std::env::temp_dir().join(format!("dxh-filedisk-stale-{}.blk", std::process::id()));
+        let mut d = FileDisk::create(&path, 2).unwrap();
+        let ids: Vec<_> = (0..3).map(|_| d.allocate().unwrap()).collect();
+        for &id in &ids {
+            let mut blk = Block::new(2);
+            blk.push(Item::new(id.raw(), 7)).unwrap();
+            blk.set_next(Some(ids[0]));
+            d.write(id, &blk).unwrap();
+        }
+        d.free(ids[1]).unwrap();
+        assert_eq!(d.allocate().unwrap(), ids[1]);
+        d.sync().unwrap();
+        // The sync reset the live, never-written slot on the device.
+        let mut raw = FileDisk::open(&path, 2).unwrap();
+        let back = raw.read(ids[1]).unwrap();
+        assert!(back.is_empty() && back.next().is_none(), "synced reset: {back:?}");
+        assert_eq!(raw.read(ids[0]).unwrap().find(ids[0].raw()), Some(7));
+        drop(raw);
+        // Without a sync, the drop performs the same reset.
+        d.free(ids[2]).unwrap();
+        assert_eq!(d.allocate().unwrap(), ids[2]);
+        drop(d);
+        let mut raw = FileDisk::open(&path, 2).unwrap();
+        assert!(raw.read(ids[2]).unwrap().is_empty(), "drop reset");
+        drop(raw);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

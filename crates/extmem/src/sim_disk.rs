@@ -25,7 +25,13 @@
 //!   the real directory media fsyncs both the manifest rename and the
 //!   clean-marker unlink (a lost unlink would resurrect trust in a
 //!   stale manifest — the one direction a lost metadata op is *not*
-//!   recoverable).
+//!   recoverable). The [`SimEnv::meta_fsync`] barrier a media issues
+//!   after a commit write has no effect; it exists so a fault plan can
+//!   fail a commit call after its write already landed.
+//! * **Recycling writes nothing.** A recycled slot reads as empty until
+//!   written, and `sync` writes a reset image over each slot still
+//!   unwritten before its barrier — the same deferred resets `FileDisk`
+//!   performs, driven by the same shared allocator.
 //! * **At a power cycle**, slots below the synced high-water mark revert
 //!   exactly to their durable image, and never-synced slots (allocated
 //!   since the last sync) independently keep, lose, or hold a **torn**
@@ -435,6 +441,19 @@ impl SimEnv {
         )
     }
 
+    /// The durability barrier after a metadata write to `name` (one I/O
+    /// op with no effect: the write itself was already durable at its
+    /// index). Media whose real twin commits in two steps — rename then
+    /// directory fsync, append then `fdatasync` — issue it after the
+    /// write, so a fault plan can fail the call *after* the write landed:
+    /// the window in which a commit reports failure yet is durable.
+    pub fn meta_fsync(&self, name: &str) -> Result<()> {
+        self.guarded(
+            || IoEvent::Meta { label: format!("meta-fsync {name}"), fingerprint: 0 },
+            |_| Ok(()),
+        )
+    }
+
     /// Removes metadata file `name` (one I/O op; absent is not an error,
     /// matching `remove_file` + `NotFound` tolerance on the real path).
     pub fn meta_remove(&self, name: &str) -> Result<()> {
@@ -743,6 +762,11 @@ impl SimEnv {
 /// recycling, lowest-first-fit contiguous runs, deferred-recycling
 /// quarantine) so block ids stay backend-deterministic.
 ///
+/// Recycled slots are handled exactly as `FileDisk` handles them: an
+/// allocation writes nothing, a stale slot reads as empty without an
+/// I/O op, and `sync` issues one reset write per slot still stale before
+/// its barrier.
+///
 /// The allocator state lives in the handle — exactly as `FileDisk` keeps
 /// it in process memory — so a crash (dropping the handle) loses it, and
 /// recovery must rebuild it from persisted metadata or a region walk.
@@ -817,6 +841,9 @@ impl StorageBackend for SimDisk {
     fn read(&mut self, id: BlockId) -> Result<Block> {
         self.check_live(id)?;
         let cap = self.block_capacity;
+        if self.alloc.is_stale(id.raw()) {
+            return Ok(Block::new(cap));
+        }
         self.file_op(
             || IoEvent::Read { file: self.file.clone(), id: id.raw() },
             |f| {
@@ -843,23 +870,21 @@ impl StorageBackend for SimDisk {
                 f.overlay.insert(id.raw(), buf);
                 Ok(())
             },
-        )
+        )?;
+        self.alloc.clear_stale(id.raw());
+        Ok(())
     }
 
     fn allocate(&mut self) -> Result<BlockId> {
         let idx = match self.alloc.peek_recycle() {
             Some(idx) => {
-                // Recycled slot: reset the stale image (a volatile write,
-                // like FileDisk's header reset) *before* the allocator
-                // state changes, so a faulted op leaves the slot safely
-                // on the free list.
-                let zeros = vec![0u8; self.block_bytes];
+                // Recycled slot: no device write (it stays stale until
+                // written or reset by `sync`). The op commits the
+                // allocator only once it succeeds, so a faulted op leaves
+                // the slot safely on the free list.
                 self.file_op(
                     || IoEvent::Alloc { file: self.file.clone(), base: idx, n: 1 },
-                    move |f| {
-                        f.overlay.insert(idx, zeros);
-                        Ok(())
-                    },
+                    |_| Ok(()),
                 )?;
                 self.alloc.commit_recycle(idx);
                 idx
@@ -882,19 +907,12 @@ impl StorageBackend for SimDisk {
 
     fn allocate_contiguous(&mut self, n: usize) -> Result<BlockId> {
         // Identical recycling policy to FileDisk/MemDisk: the lowest
-        // committed free run of ≥ n wins, reset by one (volatile) zero
-        // fill; otherwise grow.
+        // recyclable free run of ≥ n wins, with no device write;
+        // otherwise grow.
         if let Some(base) = self.alloc.peek_run(n) {
-            let end = base + n as u64;
-            let bytes = self.block_bytes;
             self.file_op(
                 || IoEvent::Alloc { file: self.file.clone(), base, n: n as u64 },
-                move |f| {
-                    for id in base..end {
-                        f.overlay.insert(id, vec![0u8; bytes]);
-                    }
-                    Ok(())
-                },
+                |_| Ok(()),
             )?;
             self.alloc.commit_run(base, n);
             return Ok(BlockId(base));
@@ -923,6 +941,22 @@ impl StorageBackend for SimDisk {
     }
 
     fn sync(&mut self) -> Result<()> {
+        // Reset every slot still stale, one volatile write each, before
+        // the barrier makes them durable. The whole zero image decodes
+        // exactly like FileDisk's 24-byte header reset. A faulted reset
+        // leaves its slot stale and fails the sync.
+        for id in self.alloc.stale_slots() {
+            let zeros = vec![0u8; self.block_bytes];
+            let fp = fnv1a64(&zeros);
+            self.file_op(
+                || IoEvent::Write { file: self.file.clone(), id, fingerprint: fp },
+                move |f| {
+                    f.overlay.insert(id, zeros);
+                    Ok(())
+                },
+            )?;
+            self.alloc.clear_stale(id);
+        }
         // The event is built before the apply closure runs, so read the
         // about-to-be-flushed count up front (nothing else can touch the
         // overlay between the peek and the barrier — the handle is the
@@ -963,6 +997,10 @@ impl PersistentBackend for SimDisk {
 
     fn set_defer_recycling(&mut self, defer: bool) {
         self.alloc.set_defer_recycling(defer);
+    }
+
+    fn seal_commit_point(&mut self) {
+        self.alloc.seal_commit_point();
     }
 
     fn commit_frees(&mut self) {
@@ -1168,14 +1206,103 @@ mod tests {
         d.set_defer_recycling(true);
         let a = d.allocate().unwrap();
         d.write(a, &item_block(2, 5, 50)).unwrap();
+        // A commit point is about to reference `a`.
+        d.seal_commit_point();
         d.free(a).unwrap();
         assert!(d.read(a).is_err());
         let b = d.allocate().unwrap();
         assert_ne!(a, b, "quarantined slot must not be recycled");
+        assert_ne!(d.allocate_contiguous(1).unwrap(), a, "nor recycled as a run");
         assert_eq!(d.free_list(), vec![a.raw()]);
         d.commit_frees();
         let c = d.allocate().unwrap();
         assert_eq!(a, c, "committed slot is recyclable");
+    }
+
+    #[test]
+    fn born_slots_recycle_within_one_commit_interval() {
+        let mut d = SimDisk::new(2);
+        d.set_defer_recycling(true);
+        let _anchor = d.allocate().unwrap();
+        d.seal_commit_point();
+        let a = d.allocate().unwrap();
+        d.write(a, &item_block(2, 5, 50)).unwrap();
+        d.free(a).unwrap();
+        assert_eq!(d.allocate().unwrap(), a, "born slot recycles at once");
+        assert!(d.read(a).unwrap().is_empty(), "and reads as empty");
+        let base = d.allocate_contiguous(3).unwrap();
+        for k in 0..3 {
+            d.free(BlockId(base.raw() + k)).unwrap();
+        }
+        let slots = PersistentBackend::slots(&d);
+        assert_eq!(d.allocate_contiguous(3).unwrap(), base, "born run recycles at once");
+        assert_eq!(PersistentBackend::slots(&d), slots, "no growth");
+        d.seal_commit_point();
+        d.free(a).unwrap();
+        assert_ne!(d.allocate().unwrap(), a, "a sealed slot's free is quarantined");
+    }
+
+    #[test]
+    fn recycling_writes_nothing_and_sync_resets_only_live_unwritten_slots() {
+        let env = SimEnv::new();
+        let mut d = env.create_disk("t.blk", 2).unwrap();
+        let base = d.allocate_contiguous(4).unwrap();
+        for k in 0..4 {
+            d.write(BlockId(base.raw() + k), &item_block(2, k, 1)).unwrap();
+        }
+        d.sync().unwrap();
+        for k in 0..4 {
+            d.free(BlockId(base.raw() + k)).unwrap();
+        }
+        env.take_trace();
+        let ops = env.ops();
+        assert_eq!(d.allocate_contiguous(4).unwrap(), base);
+        assert_eq!(env.ops(), ops + 1, "one allocation op, no fill");
+        // Stale slots read as empty without an I/O op.
+        for k in 0..4 {
+            assert!(d.read(BlockId(base.raw() + k)).unwrap().is_empty());
+        }
+        assert_eq!(env.ops(), ops + 1, "stale reads touch no device");
+        // Slot 0 is written, slot 3 freed again: only 1 and 2 owe a reset.
+        d.write(base, &item_block(2, 9, 9)).unwrap();
+        d.free(BlockId(base.raw() + 3)).unwrap();
+        d.sync().unwrap();
+        let writes: Vec<u64> = env
+            .take_trace()
+            .iter()
+            .filter_map(|e| match e {
+                IoEvent::Write { id, .. } => Some(*id),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(writes, vec![base.raw(), base.raw() + 1, base.raw() + 2]);
+        // The resets are durable: a power cycle keeps them.
+        env.power_cycle();
+        let mut d = env.open_disk("t.blk", 2).unwrap();
+        for k in 1..3 {
+            assert!(d.read(BlockId(base.raw() + k)).unwrap().is_empty());
+        }
+        assert_eq!(d.read(base).unwrap().find(9), Some(9));
+    }
+
+    #[test]
+    fn a_faulted_reset_keeps_its_slot_stale() {
+        let mut d = SimDisk::new(2);
+        let env = d.env();
+        let a = d.allocate().unwrap();
+        d.write(a, &item_block(2, 5, 50)).unwrap();
+        d.free(a).unwrap();
+        assert_eq!(d.allocate().unwrap(), a);
+        env.set_plan(FaultPlan { fail_at: vec![env.ops()], ..Default::default() });
+        assert!(d.sync().is_err(), "the reset write faults");
+        assert!(d.read(a).unwrap().is_empty(), "still served as empty");
+        env.take_trace();
+        d.sync().unwrap();
+        let trace = env.take_trace();
+        assert!(
+            matches!(&trace[..], [IoEvent::Write { id, .. }, IoEvent::Sync { flushed: 1, .. }] if *id == a.raw()),
+            "the retry resets it: {trace:?}"
+        );
     }
 
     #[test]

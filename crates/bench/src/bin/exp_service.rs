@@ -18,8 +18,11 @@
 //!   Zipf(θ) hot-key write stream against its uncoalesced twin (same op
 //!   count, all keys distinct). The newest-wins buffer absorbs the hot
 //!   duplicates, so the zipf column must not lose to the distinct one —
-//!   and with checkpoint rotations live, a delta harden must average
-//!   ≤ 1/8 of a full table-sized manifest rewrite.
+//!   and with checkpoint rotations live, both manifest commit kinds must
+//!   stay small in absolute terms: a delta harden averages ≤
+//!   [`MAX_AVG_DELTA_B`] bytes and a full rewrite ≤ [`MAX_AVG_FULL_B`]
+//!   (its free list is written as runs, so it no longer grows with the
+//!   free space).
 //!
 //! Writers replay disjoint-namespace [`ConcurrentChurn`] traces (a
 //! read-mixed churn) through pipelined `submit` chunks — the shape a
@@ -33,7 +36,8 @@
 //! shard count at 8 writers; syncs/op at 8 shards ≤ 2× at 1 shard.
 //! `--quick` (the CI smoke) shortens the workload, asserts batching
 //! materializes, and fails if 8 shards underperform 1 shard at the
-//! same writer count. Output: aligned tables,
+//! same writer count. Both modes assert the coalescing sweep's gates
+//! (above). Output: aligned tables,
 //! `results/exp_service.csv`, and `results/exp_service.json` (tracked
 //! by `BENCH_SERVICE.json` at the repo root; see `docs/BENCHMARKS.md`).
 //!
@@ -164,11 +168,19 @@ struct CoalescePoint {
     delta_commits: u64,
     /// Average bytes per delta frame.
     avg_delta_b: u64,
-    /// Average bytes of the **final** full manifests (table-sized, from
-    /// the closing marker-setting `sync_all`) — what every checkpoint
-    /// harden used to pay before incremental deltas.
+    /// Average bytes of the **final** full manifests (at final table
+    /// size, from the closing marker-setting `sync_all`) — what every
+    /// checkpoint harden used to pay before incremental deltas.
     avg_full_b: u64,
 }
+
+/// Gate: bytes a checkpoint delta harden may average — a watermark bump
+/// plus the few level regions a batch touches.
+const MAX_AVG_DELTA_B: u64 = 128;
+
+/// Gate: bytes a full manifest rewrite may average — parameters, one
+/// line per level region and the free list as a few runs of slot ids.
+const MAX_AVG_FULL_B: u64 = 1024;
 
 /// Zipf universe per writer thread — small enough that a 32-op chunk
 /// carries hot-key duplicates for the buffer to absorb.
@@ -459,8 +471,9 @@ fn main() {
     // Coalescing gates (quick and full — this pair IS the CI smoke's
     // subject): the zipf mix must not lose to its uncoalesced twin, the
     // buffer must have actually absorbed work on it (and had nothing to
-    // absorb on the twin), and a checkpoint delta harden must cost at
-    // most 1/8 of a table-sized full manifest rewrite.
+    // absorb on the twin), and both manifest commit kinds must stay
+    // within absolute byte bounds — a free list spelled id by id (full
+    // rewrites) or carried in delta frames breaks one of them.
     {
         let (hot, distinct) = (&co_points[0], &co_points[1]);
         assert_eq!((hot.mode, distinct.mode), ("zipf-hot", "distinct"));
@@ -481,15 +494,18 @@ fn main() {
             "checkpoint rotations must commit incremental deltas during the run"
         );
         assert!(
-            distinct.avg_delta_b * 8 <= distinct.avg_full_b,
-            "a delta harden must average <= 1/8 of a full manifest rewrite: \
-             {} B delta vs {} B full",
-            distinct.avg_delta_b,
+            distinct.avg_delta_b <= MAX_AVG_DELTA_B,
+            "a delta harden must average <= {MAX_AVG_DELTA_B} B: {} B",
+            distinct.avg_delta_b
+        );
+        assert!(
+            distinct.avg_full_b <= MAX_AVG_FULL_B,
+            "a full manifest rewrite must average <= {MAX_AVG_FULL_B} B: {} B",
             distinct.avg_full_b
         );
         println!(
             "\ncoalescing: zipf-hot {:.1} kops/s >= distinct {:.1} kops/s ({} ops absorbed); \
-             delta harden {} B <= 1/8 of {} B full manifest",
+             delta harden {} B <= {MAX_AVG_DELTA_B} B, full manifest {} B <= {MAX_AVG_FULL_B} B",
             hot.kops_per_s,
             distinct.kops_per_s,
             hot.coalesced,
@@ -535,8 +551,9 @@ fn main() {
          {fixed_threads} writers x 8 shards, checkpoint rotations every \
          {COALESCE_CKPT_LOG_BYTES} log bytes: Zipf({ZIPF_THETA}) hot-key writes over \
          {ZIPF_UNIVERSE} keys/thread vs the all-distinct uncoalesced twin. Gates: zipf-hot \
-         kops/s >= distinct, and avg delta-harden bytes <= 1/8 of a final full manifest \
-         rewrite.\",\n    \"points\": [\n{}\n    ]\n  }},\n  \"points\": [\n{}\n  ]\n}}\n",
+         kops/s >= distinct, avg delta-harden bytes <= {MAX_AVG_DELTA_B} and avg final full \
+         manifest rewrite bytes <= {MAX_AVG_FULL_B}.\",\n    \"points\": [\n{}\n    ]\n  \
+         }},\n  \"points\": [\n{}\n  ]\n}}\n",
         co_json.join(",\n"),
         json_rows.join(",\n")
     );

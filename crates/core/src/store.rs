@@ -22,9 +22,11 @@
 //!   authoritative, so the swap commits atomically with the manifest;
 //! * `MANIFEST` — a small text file with the model parameters `(b, m,
 //!   γ)`, the hash seed, the data-file generation, the allocator state
-//!   (high-water mark and free list), and one line per disk level
-//!   region. Written atomically (tmp + rename, then a directory fsync so
-//!   the rename itself is durable) by [`KvStore::sync`];
+//!   (high-water mark, and the free list as ascending runs of slot ids,
+//!   `free 120-4151,9000`), and one line per disk level region — so its
+//!   size is O(levels + free runs), not O(free slots). Written
+//!   atomically (tmp + rename, then a directory fsync so the rename
+//!   itself is durable) by [`KvStore::sync`];
 //! * `MANIFEST.DELTA` — a chain of checksummed incremental manifest
 //!   frames appended by marker-less hardens (`harden(false)`, the
 //!   service committers' steady state): each frame records only what
@@ -80,6 +82,7 @@
 //! they measure the current process's accounted transfers, not the
 //! lifetime of the file.
 
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use dxh_extmem::{
@@ -380,8 +383,10 @@ impl<M: StoreMedia> KvStore<M> {
             // so it describes the file exactly and the free list is safe
             // to recycle from. Delta frames never carry a free list (and
             // a marker-setting harden always compacts the chain first),
-            // so an applied chain forces the recovery walk below.
-            backend.restore_free_list(m.free)?;
+            // so an applied chain forces the recovery walk below. Parse
+            // checked the runs against the slot count, so the id list is
+            // at most one entry per slot of the file.
+            backend.restore_free_list(m.free.into_iter().flatten().collect())?;
         } else {
             // Crash recovery: the manifest's free list is stale (post-sync
             // merges may have rewired chains through once-free slots or
@@ -659,6 +664,11 @@ impl<M: StoreMedia> KvStore<M> {
         transition_dirty(&mut self.media, &mut self.dirty)
     }
 
+    /// The full commit point: atomically rewrites `MANIFEST` with the
+    /// model parameters, the slot high-water mark, the free list as
+    /// ascending runs of slot ids, and one line per level region. Its
+    /// size is O(levels + free runs), not O(free slots): the log method
+    /// frees whole level regions, so the free space is a few runs.
     fn write_manifest(&mut self) -> Result<()> {
         let cfg = self.table.config().clone();
         // Presence of the `blob` line ⟺ payload mode; its value is the
@@ -698,8 +708,7 @@ impl<M: StoreMedia> KvStore<M> {
             out.push_str(&format!("watermark {}\n", self.watermark));
         }
         out.push_str(&format!("slots {}\n", backend.slots()));
-        let free: Vec<String> = backend.free_list().iter().map(|id| id.to_string()).collect();
-        out.push_str(&format!("free {}\n", free.join(",")));
+        out.push_str(&format!("free {}\n", free_runs(backend.free_list()).join(",")));
         let levels = self.table.persisted_levels();
         out.push_str(&format!("levels {}\n", levels.len()));
         for (k, slot) in levels.iter().enumerate() {
@@ -733,11 +742,11 @@ impl<M: StoreMedia> KvStore<M> {
     /// last commit — watermark, blob length, slot count, and the level
     /// regions that differ from the `committed_levels` snapshot — so a
     /// service checkpoint harden writes O(changed state), not O(table).
-    /// The free list is deliberately absent: only a marker-setting
-    /// harden lets reopen trust a free list, and those always take the
-    /// full-rewrite path (see [`KvStore::harden_commit`]); a reopen over
-    /// deltas takes the recovery region walk, which recomputes liveness
-    /// exactly.
+    /// The free list is deliberately absent, even though its runs would
+    /// be small: only a marker-setting harden lets reopen trust a free
+    /// list, and those always take the full-rewrite path (see
+    /// [`KvStore::harden_commit`]); a reopen over deltas takes the
+    /// recovery region walk, which recomputes liveness exactly.
     fn write_manifest_delta(&mut self) -> Result<()> {
         let seq = self.delta_seq + 1;
         let mut out = String::new();
@@ -1007,8 +1016,9 @@ impl<M: StoreMedia> KvStore<M> {
 /// Cumulative manifest-commit I/O of one [`KvStore`] handle since it
 /// opened: bytes and commit counts, split between full atomic rewrites
 /// and incremental `MANIFEST.DELTA` frames. Full-rewrite bytes scale
-/// with table size (one `level` line per region plus the whole free
-/// list); delta bytes scale with what changed since the last commit.
+/// with the level count and the number of free runs (one `level` line
+/// per region, one token per run); delta bytes scale with what changed
+/// since the last commit.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ManifestIoStats {
     /// Bytes written by full manifest rewrites.
@@ -1034,6 +1044,24 @@ pub struct CompactionStats {
     pub bytes_before: u64,
     /// Data-file size after the pass, in bytes.
     pub bytes_after: u64,
+}
+
+/// Spells a free list as the manifest's `free` tokens: ascending maximal
+/// runs, `a-b` for the ids `a..=b` and a bare `a` for a lone id. A parser
+/// from before runs existed rejects `a-b` as a bad free id, so an older
+/// binary refuses such a manifest instead of misreading it.
+fn free_runs(mut ids: Vec<u64>) -> Vec<String> {
+    ids.sort_unstable();
+    let mut runs = Vec::new();
+    let mut ids = ids.into_iter().peekable();
+    while let Some(start) = ids.next() {
+        let mut last = start;
+        while ids.next_if_eq(&(last + 1)).is_some() {
+            last += 1;
+        }
+        runs.push(if last == start { start.to_string() } else { format!("{start}-{last}") });
+    }
+    runs
 }
 
 /// Computes the free-slot list of `backend` by walking every region's
@@ -1315,7 +1343,10 @@ struct Manifest {
     /// written before compaction existed — absent lines parse as 0).
     data_gen: u64,
     slots: u64,
-    free: Vec<u64>,
+    /// Dead slots as disjoint id ranges, ascending and within `slots`
+    /// ([`Manifest::parse`] checks both); only a clean reopen expands
+    /// them into ids.
+    free: Vec<Range<u64>>,
     levels: Vec<Option<Region>>,
     /// Written by a pre-deletion binary (format v1): `u64::MAX` was an
     /// ordinary value then, so reopen must prove none is stored before
@@ -1379,8 +1410,18 @@ impl Manifest {
                 "blob" => blob = Some(v.parse().map_err(|_| corrupt("bad blob length"))?),
                 "slots" => slots = v.parse().ok(),
                 "free" => {
-                    for id in v.split(',').filter(|s| !s.is_empty()) {
-                        free.push(id.parse().map_err(|_| corrupt("bad free id"))?);
+                    for run in v.split(',').filter(|s| !s.is_empty()) {
+                        let (start, last) = run.split_once('-').unwrap_or((run, run));
+                        let (Ok(start), Ok(last)) = (start.parse::<u64>(), last.parse::<u64>())
+                        else {
+                            return Err(corrupt("bad free run"));
+                        };
+                        if last < start {
+                            return Err(corrupt("free run ends before it starts"));
+                        }
+                        let end =
+                            last.checked_add(1).ok_or_else(|| corrupt("free run too long"))?;
+                        free.push(start..end);
                     }
                 }
                 "levels" => {
@@ -1415,6 +1456,17 @@ impl Manifest {
         else {
             return Err(corrupt("missing required field"));
         };
+        // Check the runs themselves, before anything is sized by them.
+        // Their order is free (the id-by-id spelling listed ids in
+        // recycle order), but no two may overlap and none may reach past
+        // the high-water mark.
+        free.sort_unstable_by_key(|run| run.start);
+        if free.windows(2).any(|w| w[1].start < w[0].end) {
+            return Err(corrupt("overlapping free runs"));
+        }
+        if free.last().is_some_and(|run| run.end > slots) {
+            return Err(corrupt("free run past the slot count"));
+        }
         let cfg = CoreConfig::custom(b, m, gamma, beta)?.cost_model(cost);
         Ok(Manifest { cfg, seed, data_gen, slots, free, levels, v1, watermark, blob, epoch })
     }
@@ -1759,15 +1811,22 @@ mod tests {
         }
         s.sync().unwrap();
         let text = fs::read_to_string(dir.join(MANIFEST)).unwrap();
-        let manifest_free = Manifest::parse(&text).unwrap().free;
-        fs::remove_file(dir.join(CLEAN)).unwrap();
+        let manifest_free: Vec<u64> =
+            Manifest::parse(&text).unwrap().free.into_iter().flatten().collect();
         crash(s);
+        // A clean reopen restores the manifest's free list; a handle that
+        // makes no modification leaves the manifest and CLEAN as they are.
         let s = KvStore::open(&dir, cfg(), 43).unwrap();
-        let mut walked = s.table().disk().backend().free_list();
-        walked.sort_unstable();
-        let mut expected = manifest_free;
-        expected.sort_unstable();
-        assert_eq!(walked, expected, "region walk rediscovers the free list exactly");
+        let restored = s.table().disk().backend().free_list();
+        drop(s);
+        fs::remove_file(dir.join(CLEAN)).unwrap();
+        let s = KvStore::open(&dir, cfg(), 43).unwrap();
+        let walked = s.table().disk().backend().free_list();
+        assert!(!walked.is_empty(), "the merges freed level regions");
+        assert_eq!(walked, manifest_free, "region walk rediscovers the free list exactly");
+        // Recycle order included: either reopen leaves one allocator
+        // state, so the next allocations pick the same slots.
+        assert_eq!(restored, walked, "clean reopen and recovery walk disagree");
         drop(s);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1976,6 +2035,74 @@ mod tests {
     }
 
     #[test]
+    fn implausible_free_run_rejected_without_allocating() {
+        let text = format!(
+            "{MAGIC}\nb 8\nm 128\ngamma 2\nbeta 2\nseed 1\nslots 0\n\
+             free 0-18446744073709551614\nlevels 1\n"
+        );
+        assert!(matches!(Manifest::parse(&text), Err(ExtMemError::Corrupt(_))));
+    }
+
+    #[test]
+    fn bad_free_runs_are_corrupt() {
+        for free in [
+            "x",                      // malformed token
+            "3-",                     // malformed run
+            "-3",                     // malformed run
+            "1-2-3",                  // malformed run
+            "7-3",                    // ends before it starts
+            "8-10",                   // reaches past `slots 10`
+            "10",                     // past `slots 10`
+            "2-5,4",                  // overlapping
+            "4,2-5",                  // overlapping and unsorted
+            "3,3",                    // duplicate id
+            "0-9,5-5",                // overlapping
+            "0-18446744073709551615", // ends at u64::MAX: no id past it
+        ] {
+            let text =
+                format!("{MAGIC}\nb 8\nm 128\ngamma 2\nbeta 2\nseed 1\nslots 10\nfree {free}\n");
+            assert!(
+                matches!(Manifest::parse(&text), Err(ExtMemError::Corrupt(_))),
+                "free {free} must be rejected"
+            );
+        }
+    }
+
+    #[test]
+    fn free_list_is_spelled_as_ascending_runs() {
+        assert_eq!(free_runs(vec![9000, 121, 4151, 120, 122]), ["120-122", "4151", "9000"]);
+        assert!(free_runs(Vec::new()).is_empty());
+        let ids: Vec<u64> = (0..8576).rev().chain([u64::MAX - 1]).collect();
+        assert_eq!(free_runs(ids), ["0-8575", "18446744073709551614"]);
+    }
+
+    /// The store-ingest shape: 65 536 fresh keys with a `sync` after
+    /// every 256. The free space is a few whole level regions, so every
+    /// full manifest stays small however many slots are free.
+    #[test]
+    fn full_manifests_stay_small_under_a_sync_heavy_ingest() {
+        use crate::media::SimMedia;
+        use dxh_extmem::SimEnv;
+        let env = SimEnv::new();
+        let cfg = CoreConfig::lemma5(32, 1024, 2).unwrap();
+        let mut s = KvStore::open_on(SimMedia::open(&env).unwrap(), cfg, 7).unwrap();
+        let mut largest_free = 0;
+        for group in 0..256u64 {
+            for k in group * 256..(group + 1) * 256 {
+                s.insert(k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 1, k).unwrap();
+            }
+            let before = s.manifest_io();
+            s.sync().unwrap();
+            let after = s.manifest_io();
+            assert_eq!(after.full_commits, before.full_commits + 1, "a sync rewrites in full");
+            let bytes = after.full_bytes - before.full_bytes;
+            assert!(bytes <= 1024, "sync {group} wrote a {bytes} B manifest");
+            largest_free = largest_free.max(s.table().disk().backend().free_count());
+        }
+        assert!(largest_free > 1024, "the ingest must free many slots: {largest_free}");
+    }
+
+    #[test]
     fn mismatched_block_size_rejected() {
         let dir = tmp_dir("badb");
         let _ = fs::remove_dir_all(&dir);
@@ -2007,11 +2134,21 @@ mod tests {
         assert_eq!(m.seed, 42);
         assert_eq!(m.data_gen, 3);
         assert_eq!(m.slots, 10);
-        assert_eq!(m.free, vec![3, 7]);
+        assert_eq!(m.free, vec![3..4, 7..8]);
         assert_eq!(m.levels.len(), 3);
         let r = m.levels[2].unwrap();
         assert_eq!((r.base.raw(), r.buckets, r.items), (2, 4, 9));
         assert!(m.levels[1].is_some());
+        // The id-by-id spelling every store before free runs holds (ids
+        // in recycle order) parses to the same free set as the runs.
+        let ids = |free: &str| -> Vec<u64> {
+            let text = text.replace("free 3,7", &format!("free {free}"));
+            Manifest::parse(&text).unwrap().free.into_iter().flatten().collect()
+        };
+        assert_eq!(ids("7,3,4,9,5"), [3, 4, 5, 7, 9]);
+        assert_eq!(ids("3-5,7,9"), ids("7,3,4,9,5"));
+        assert_eq!(ids("3-5,7-7,9"), ids("9,7,5,4,3"));
+        assert!(ids("").is_empty());
     }
 
     #[test]

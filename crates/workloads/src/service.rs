@@ -147,6 +147,11 @@ pub struct ServiceTortureReport {
     pub manifest_full_commits: u64,
     /// Bytes those full rewrites wrote.
     pub manifest_full_bytes: u64,
+    /// Full manifest rewrites of the recovered service's marker-setting
+    /// `sync_all` (0 if recovery did not get that far).
+    pub recovered_full_commits: u64,
+    /// Bytes those rewrites wrote, at the recovered table's size.
+    pub recovered_full_bytes: u64,
 }
 
 /// Applies a recorded batch effect list to a model. This harness drives
@@ -412,6 +417,8 @@ pub fn service_torture_run(
             manifest_delta_bytes,
             manifest_full_commits,
             manifest_full_bytes,
+            recovered_full_commits: 0,
+            recovered_full_bytes: 0,
         }
     };
     let svc = match ShardedKvStore::open_on(
@@ -496,12 +503,12 @@ pub fn service_torture_run(
     }
     // Checkpoint bytes are O(delta), not O(table): the first lifecycle's
     // average delta append is compared against the full manifests the
-    // recovered service just rewrote (the marker-setting `sync_all`) at
-    // the *recovered* table size. A delta costing anywhere near a full
-    // rewrite means the incremental harden path regressed to
-    // table-sized checkpoints.
+    // recovered service just rewrote (the marker-setting `sync_all`),
+    // which list every parameter, level region and free run. A delta
+    // costing anywhere near a full rewrite means the incremental harden
+    // path regressed to whole-state checkpoints.
+    let rec = svc.stats();
     if crash_at.is_none() && !crashed {
-        let rec = svc.stats();
         let avg_delta = manifest_delta_bytes.checked_div(manifest_delta_commits);
         let avg_full = rec.manifest_full_bytes.checked_div(rec.manifest_full_commits);
         if let (Some(avg_delta), Some(avg_full)) = (avg_delta, avg_full) {
@@ -531,7 +538,11 @@ pub fn service_torture_run(
         }
         Err(e) => violations.push(format!("final reopen failed: {e}")),
     }
-    report(violations)
+    ServiceTortureReport {
+        recovered_full_commits: rec.manifest_full_commits,
+        recovered_full_bytes: rec.manifest_full_bytes,
+        ..report(violations)
+    }
 }
 
 /// Runs a crash-free lifecycle to size the window, then crashes at
@@ -659,13 +670,9 @@ mod tests {
         assert!(report.manifest_delta_commits >= 1, "rotation hardens append deltas: {report:?}");
     }
 
-    /// The incremental harden is O(delta), not O(table): quadrupling
-    /// the workload (and with it the recovered table) leaves the
-    /// average delta append flat. The harness additionally checks each
-    /// fault-free rotating run's average delta against the recovered
-    /// table's full-manifest size (the O(table) yardstick).
-    #[test]
-    fn delta_append_bytes_do_not_scale_with_the_table() {
+    /// Fault-free rotating lifecycles of `ServiceTortureSpec::checkpointing(27)`
+    /// and of its twin with four times the ops (and so a bigger table).
+    fn small_and_big_rotating_runs() -> (ServiceTortureReport, ServiceTortureReport) {
         let small_spec = ServiceTortureSpec::checkpointing(27);
         let small = service_torture_run(&small_spec, None);
         assert!(small.violations.is_empty(), "small run: {:?}", small.violations);
@@ -673,6 +680,18 @@ mod tests {
             ServiceTortureSpec { ops_per_thread: small_spec.ops_per_thread * 4, ..small_spec };
         let big = service_torture_run(&big_spec, None);
         assert!(big.violations.is_empty(), "big run: {:?}", big.violations);
+        (small, big)
+    }
+
+    /// The incremental harden is O(delta), not O(table): quadrupling
+    /// the workload (and with it the recovered table) leaves the
+    /// average delta append flat. The harness additionally checks that
+    /// each fault-free rotating run's average delta costs under half of
+    /// the recovered service's full manifest rewrites (parameters, level
+    /// regions and free runs).
+    #[test]
+    fn delta_append_bytes_do_not_scale_with_the_table() {
+        let (small, big) = small_and_big_rotating_runs();
         assert!(small.manifest_delta_commits >= 1, "{small:?}");
         assert!(big.manifest_delta_commits > small.manifest_delta_commits, "{big:?}");
         let small_avg = small.manifest_delta_bytes / small.manifest_delta_commits;
@@ -684,6 +703,22 @@ mod tests {
         // The chunked writers exercise newest-wins coalescing for real
         // (same-key repeats inside a pipelined chunk collapse).
         assert!(small.coalesced_ops > 0, "workload never coalesced: {small:?}");
+    }
+
+    /// The full-rewrite twin: a full manifest lists the free space as
+    /// runs of slot ids, not id by id, so quadrupling the workload leaves
+    /// the recovered service's average full rewrite flat too.
+    #[test]
+    fn full_manifest_bytes_do_not_scale_with_the_table() {
+        let (small, big) = small_and_big_rotating_runs();
+        assert!(small.recovered_full_commits >= 1, "{small:?}");
+        assert!(big.recovered_full_commits >= 1, "{big:?}");
+        let small_avg = small.recovered_full_bytes / small.recovered_full_commits;
+        let big_avg = big.recovered_full_bytes / big.recovered_full_commits;
+        assert!(
+            big_avg <= small_avg * 2,
+            "average full manifest rewrite grew with the table: {small_avg} B -> {big_avg} B"
+        );
     }
 
     #[test]
